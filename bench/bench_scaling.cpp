@@ -18,12 +18,19 @@
 //                                YS_SCALING_MIN_REDUCTION_PCT, default 0)
 //   YS_SCALING_MAX_OVERHEAD_PCT  fail if arming the GC machinery with a
 //                                never-firing threshold costs more than
-//                                this vs GC-off (min-of-2 alternating
-//                                reps, same idiom as bench_tracking_overhead)
+//                                this vs GC-off: the median of 9 paired,
+//                                alternating reps, each pair compared in
+//                                process CPU time (getrusage), which unlike
+//                                wall time does not count waiting on a busy
+//                                host; the interquartile range is printed
+//                                and recorded alongside
 //
 // Peak-RSS caveat: VmHWM is process-monotone, so within each k the GC-on
 // run goes first and later ks inherit earlier highs — peak_arena_nodes is
 // the comparable signal; RSS is recorded for absolute context only.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,12 +75,32 @@ size_t peak_rss_kb() {
   return kb;
 }
 
+/// User + system CPU seconds of the whole process, every thread included.
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Linear-interpolated quantile q in [0, 1] of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 uint64_t counter_value(const char* name) {
   return obs::metrics().counter(name).value();
 }
 
 struct RunResult {
   double wall_s = 0.0;
+  double cpu_s = 0.0;  // process CPU time, all threads
   size_t peak_arena_nodes = 0;
   size_t peak_rss_kb = 0;
   double cache_hit_rate = 0.0;  // apply-cache, primary + shard managers
@@ -98,9 +125,11 @@ RunResult run_offline(const topo::FatTree& tree, const coverage::CoverageTrace& 
   const coverage::CoverageTrace local_trace = trace.imported_into(mgr);
   ys::ResourceBudget budget;  // accounting only: no caps, no deadline
   benchutil::Stopwatch watch;
+  const double cpu0 = process_cpu_seconds();
   const ys::CoverageEngine engine(mgr, tree.network, local_trace,
                                   ys::EngineOptions{&budget, threads, "", gc_threshold});
   out.row = engine.metrics();
+  out.cpu_s = process_cpu_seconds() - cpu0;
   out.wall_s = watch.seconds();
 
   out.peak_arena_nodes = budget.peak_bdd_nodes();
@@ -125,6 +154,17 @@ bool rows_equal(const ys::MetricRow& a, const ys::MetricRow& b) {
          a.rule_fractional == b.rule_fractional && a.rule_weighted == b.rule_weighted;
 }
 
+/// Armed-but-idle GC cost: per-pair CPU-time overheads, summarized.
+struct Overhead {
+  int k = 0;
+  double median_pct = 0.0;
+  double iqr_pct = 0.0;  // q3 - q1 of the per-pair overheads
+  double off_cpu_s = 0.0;    // median
+  double armed_cpu_s = 0.0;  // median
+};
+
+constexpr int kOverheadReps = 9;
+
 struct SweepPoint {
   int k = 0;
   size_t routers = 0;
@@ -136,7 +176,7 @@ struct SweepPoint {
 };
 
 void emit_json(const std::vector<SweepPoint>& sweep, unsigned threads,
-               double gc_threshold, double overhead_pct, int overhead_k) {
+               double gc_threshold, const Overhead& overhead) {
   std::FILE* f = std::fopen("BENCH_scaling.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_scaling: cannot write BENCH_scaling.json\n");
@@ -165,8 +205,12 @@ void emit_json(const std::vector<SweepPoint>& sweep, unsigned threads,
     std::fprintf(f, "\n      \"outputs_identical\": %s\n    }%s\n", p.identical ? "true" : "false",
                  i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"gc_armed_overhead\": {\"k\": %d, \"overhead_pct\": %.2f}\n}\n",
-               overhead_k, overhead_pct);
+  std::fprintf(f,
+               "  ],\n  \"gc_armed_overhead\": {\"k\": %d, \"clock\": \"process_cpu\", "
+               "\"reps\": %d, \"overhead_pct\": %.2f, \"overhead_iqr_pct\": %.2f, "
+               "\"off_cpu_s\": %.6f, \"armed_cpu_s\": %.6f}\n}\n",
+               overhead.k, kOverheadReps, overhead.median_pct, overhead.iqr_pct,
+               overhead.off_cpu_s, overhead.armed_cpu_s);
   std::fclose(f);
 }
 
@@ -258,21 +302,21 @@ int main() {
 
   // Overhead probe: arming the GC machinery with a threshold that never
   // fires (1.0) measures pure bookkeeping cost — root tracking, gc_due()
-  // polls — against a plain GC-off run. Min of 3 alternating reps per mode
-  // absorbs scheduler noise (the bench_tracking_overhead idiom). Probes at
-  // the largest sweep k <= YS_SCALING_OVERHEAD_K (default 16): small ks
-  // finish in single-digit milliseconds where fixed costs swamp the
-  // percentage, and the local k=32/48 points would make the probe's 6 extra
-  // runs slower than the sweep itself.
+  // polls — against a plain GC-off run. Reps run in off/armed pairs whose
+  // order alternates, so drift on a shared host lands on both modes; each
+  // pair yields one overhead in process CPU time, and the gate reads the
+  // median pair. Probes at the largest sweep k <= YS_SCALING_OVERHEAD_K
+  // (default 16): small ks finish in single-digit milliseconds where fixed
+  // costs swamp the percentage, and the local k=32/48 points would make the
+  // probe's 18 extra runs slower than the sweep itself.
   const int overhead_cap = env_int("YS_SCALING_OVERHEAD_K", 16);
-  int overhead_k = 0;
+  Overhead overhead;
   for (const SweepPoint& p : sweep) {
-    if (p.k <= overhead_cap && p.k > overhead_k) overhead_k = p.k;
+    if (p.k <= overhead_cap && p.k > overhead.k) overhead.k = p.k;
   }
-  if (overhead_k == 0 && !sweep.empty()) overhead_k = sweep.front().k;
-  double overhead_pct = 0.0;
-  if (overhead_k != 0) {
-    topo::FatTree tree = topo::make_fat_tree({.k = overhead_k});
+  if (overhead.k == 0 && !sweep.empty()) overhead.k = sweep.front().k;
+  if (overhead.k != 0) {
+    topo::FatTree tree = topo::make_fat_tree({.k = overhead.k});
     routing::FibBuilder::compute_and_build(tree.network, tree.routing);
     bdd::BddManager trace_mgr(packet::kNumHeaderBits);
     ys::CoverageTracker tracker;
@@ -284,23 +328,42 @@ int main() {
       suite.add(std::make_unique<nettest::ToRContract>());
       (void)suite.run_all(transfer, tracker);
     }
-    double off_s = 0.0;
-    double armed_s = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double off = run_offline(tree, tracker.trace(), threads, 0.0).wall_s;
-      const double armed = run_offline(tree, tracker.trace(), threads, 1.0).wall_s;
-      off_s = rep == 0 ? off : std::min(off_s, off);
-      armed_s = rep == 0 ? armed : std::min(armed_s, armed);
+    std::vector<double> off_s;
+    std::vector<double> armed_s;
+    std::vector<double> pct;
+    for (int rep = 0; rep < kOverheadReps; ++rep) {
+      const auto run = [&](double threshold) {
+        return run_offline(tree, tracker.trace(), threads, threshold).cpu_s;
+      };
+      double off = 0.0;
+      double armed = 0.0;
+      if (rep % 2 == 0) {
+        off = run(0.0);
+        armed = run(1.0);
+      } else {
+        armed = run(1.0);
+        off = run(0.0);
+      }
+      off_s.push_back(off);
+      armed_s.push_back(armed);
+      pct.push_back(off > 0.0 ? (armed / off - 1.0) * 100.0 : 0.0);
     }
-    overhead_pct = off_s > 0.0 ? (armed_s / off_s - 1.0) * 100.0 : 0.0;
-    std::printf("\n# GC machinery armed-but-idle overhead (k=%d, min of 5): "
-                "off %.3fs, armed %.3fs, %+.2f%%\n",
-                overhead_k, off_s, armed_s, overhead_pct);
+    for (std::vector<double>* v : {&off_s, &armed_s, &pct}) std::sort(v->begin(), v->end());
+    overhead.median_pct = quantile(pct, 0.5);
+    overhead.iqr_pct = quantile(pct, 0.75) - quantile(pct, 0.25);
+    overhead.off_cpu_s = quantile(off_s, 0.5);
+    overhead.armed_cpu_s = quantile(armed_s, 0.5);
+    std::printf("\n# GC machinery armed-but-idle overhead (k=%d, process CPU time, "
+                "median of %d paired reps): off %.3fs, armed %.3fs, %+.2f%% "
+                "(IQR %.2f points)\n",
+                overhead.k, kOverheadReps, overhead.off_cpu_s, overhead.armed_cpu_s,
+                overhead.median_pct, overhead.iqr_pct);
     const double max_overhead = env_f64("YS_SCALING_MAX_OVERHEAD_PCT", 0.0);
-    if (max_overhead > 0.0 && overhead_pct > max_overhead) {
+    if (max_overhead > 0.0 && overhead.median_pct > max_overhead) {
       std::fprintf(stderr,
-                   "bench_scaling: FAIL — GC-disabled overhead %.2f%% exceeds %.2f%%\n",
-                   overhead_pct, max_overhead);
+                   "bench_scaling: FAIL — GC-disabled overhead %.2f%% (median) exceeds "
+                   "%.2f%%\n",
+                   overhead.median_pct, max_overhead);
       exit_code = 1;
     }
   }
@@ -328,6 +391,6 @@ int main() {
     }
   }
 
-  emit_json(sweep, threads, gc_threshold, overhead_pct, overhead_k);
+  emit_json(sweep, threads, gc_threshold, overhead);
   return exit_code;
 }

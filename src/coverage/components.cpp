@@ -41,7 +41,7 @@ ComponentSpec ComponentFactory::interface(net::InterfaceId id,
   spec.measure = fraction_measure();
   spec.combinator = weighted_mean_combinator();
   if (direction == InterfaceDirection::Outgoing) {
-    for (const net::RuleId rid : rules_to_interface_[id.value]) {
+    for (const net::RuleId rid : rules_to(id)) {
       spec.strings.push_back(rule_string(rid));
     }
   } else {

@@ -21,7 +21,7 @@ enum class Role : uint8_t {
   RegionalHub,  // inter-DC regional hub layer
   Wan,          // wide-area / border attachment point
   Host,         // end host (only used as traffic source/sink)
-  Other,
+  Other,        // last: report() walks every role up to here
 };
 
 [[nodiscard]] inline const char* to_string(Role r) {

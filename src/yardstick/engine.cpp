@@ -148,17 +148,6 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
   sample_engine_gauges(mgr, budget_);
 }
 
-template <typename Fn>
-double CoverageEngine::degradable(bool* degraded, Fn&& fn) const {
-  try {
-    return fn();
-  } catch (const StatusError& e) {
-    if (!is_resource_exhaustion(e.code())) throw;
-    if (degraded != nullptr) *degraded = true;
-    return 0.0;
-  }
-}
-
 double CoverageEngine::rule_coverage(net::RuleId id) const {
   return coverage::component_coverage(covered_, factory_.rule(id));
 }
@@ -399,76 +388,150 @@ std::vector<net::InterfaceId> CoverageEngine::untested_interfaces(
   return out;
 }
 
-MetricRow CoverageEngine::metrics(const DeviceFilter& filter) const {
-  // Each of the four numbers degrades independently: a budget tripping
-  // mid-aggregation leaves that metric at its partial/zero value and flags
-  // the row instead of propagating an exception to the caller.
+namespace {
+
+/// Calls `fn` on each rule of the device: ACL, then FIB — the order the
+/// device and rule collections list them in.
+template <typename Fn>
+void for_each_rule(const net::Network& network, net::DeviceId id, Fn&& fn) {
+  for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+    for (const net::RuleId rid : network.table(id, table)) fn(rid);
+  }
+}
+
+}  // namespace
+
+CoverageEngine::ComponentMeasures CoverageEngine::measure_components(
+    const std::vector<net::DeviceId>& devices) const {
+  ComponentMeasures out;
+  // The rules the folds read: each device's tables and the rules
+  // forwarding out of its interfaces.
+  std::vector<char> wanted(network_.rules().size(), 0);
+  for (const net::DeviceId id : devices) {
+    for_each_rule(network_, id, [&](net::RuleId rid) { wanted[rid.value] = 1; });
+    for (const net::InterfaceId intf : network_.device(id).interfaces) {
+      for (const net::RuleId rid : factory_.rules_to(intf)) wanted[rid.value] = 1;
+    }
+  }
+
+  // µ = fraction_measure(), once per rule: |T[r] ∩ M[r]| / |M[r]|, and
+  // {1, 0} for an empty match set. A budget tripping mid-pass leaves the
+  // rules not yet measured at value 0 (counting never allocates, so their
+  // weights stay exact) and flags every row folded from the table.
+  out.rules.resize(wanted.size());
+  for (const net::Rule& rule : network_.rules()) {
+    if (!wanted[rule.id.value]) continue;
+    const packet::PacketSet& match = index_.match_set(rule.id);
+    const bdd::Uint128 total = match.count();
+    coverage::MeasureResult& m = out.rules[rule.id.value];
+    if (total == 0) {
+      m = {1.0, 0};
+      continue;
+    }
+    m = {0.0, total};
+    if (out.truncated) continue;
+    try {
+      m.value = bdd::ratio(covered_.covered(rule.id).intersect(match).count(), total);
+    } catch (const StatusError& e) {
+      if (!is_resource_exhaustion(e.code())) throw;
+      out.truncated = true;
+    }
+  }
+
+  // Equation 1 per component, with the combinator the factory's device
+  // and interface specs carry, over their strings in the same order.
+  const coverage::Combinator weighted_mean = coverage::weighted_mean_combinator();
+  std::vector<coverage::MeasureResult> strings;
+  out.devices.resize(network_.device_count());
+  out.interfaces.resize(network_.interface_count());
+  for (const net::DeviceId id : devices) {
+    strings.clear();
+    for_each_rule(network_, id, [&](net::RuleId rid) { strings.push_back(out.rules[rid.value]); });
+    out.devices[id.value] = weighted_mean(strings);
+    for (const net::InterfaceId intf : network_.device(id).interfaces) {
+      strings.clear();
+      for (const net::RuleId rid : factory_.rules_to(intf)) strings.push_back(out.rules[rid.value]);
+      out.interfaces[intf.value] = weighted_mean(strings);
+    }
+  }
+  return out;
+}
+
+MetricRow CoverageEngine::fold_row(const ComponentMeasures& measures,
+                                   const std::vector<net::DeviceId>& devices) const {
+  // Equation 2 with the collection API's aggregators, over components in
+  // the order its collections list them. Device and interface weights stay
+  // 0: only the weighted rule aggregate reads weights.
+  std::vector<coverage::ComponentCoverage> device;
+  std::vector<coverage::ComponentCoverage> interface;
+  std::vector<coverage::ComponentCoverage> rule;
+  for (const net::DeviceId id : devices) {
+    device.push_back({measures.devices[id.value], 0});
+    for (const net::InterfaceId intf : network_.device(id).interfaces) {
+      interface.push_back({measures.interfaces[intf.value], 0});
+    }
+    for_each_rule(network_, id, [&](net::RuleId rid) {
+      rule.push_back({measures.rules[rid.value].value, measures.rules[rid.value].weight});
+    });
+  }
+  const coverage::Aggregator fractional = coverage::fractional_aggregator();
   MetricRow row;
-  bool degraded = truncated();
-  row.device_fractional = degradable(
-      &degraded, [&] { return devices_coverage(coverage::fractional_aggregator(), filter); });
-  row.interface_fractional = degradable(&degraded, [&] {
-    return interfaces_coverage(coverage::fractional_aggregator(), filter);
-  });
-  row.rule_fractional = degradable(
-      &degraded, [&] { return rules_coverage(coverage::fractional_aggregator(), filter); });
-  row.rule_weighted = degradable(&degraded, [&] {
-    return rules_coverage(coverage::weighted_average_aggregator(), filter);
-  });
-  row.truncated = degraded;
+  row.device_fractional = fractional(device);
+  row.interface_fractional = fractional(interface);
+  row.rule_fractional = fractional(rule);
+  row.rule_weighted = coverage::weighted_average_aggregator()(rule);
+  row.truncated = truncated() || measures.truncated;
   return row;
+}
+
+MetricRow CoverageEngine::metrics(const DeviceFilter& filter) const {
+  const std::vector<net::DeviceId> devices = filtered_devices(filter);
+  return fold_row(measure_components(devices), devices);
 }
 
 CoverageReport CoverageEngine::report() const {
   obs::Span span("analysis.report", "report");
   CoverageReport report;
   report.timings = timings_;
-  report.truncated = truncated();
-  const auto metrics_for = [&](const DeviceFilter& filter) { return metrics(filter); };
+  const std::vector<net::DeviceId> all = filtered_devices(nullptr);
+  const ComponentMeasures measures = measure_components(all);
+  report.overall = fold_row(measures, all);
+  report.truncated = report.overall.truncated;
 
-  report.overall = metrics_for(nullptr);
-  report.truncated = report.truncated || report.overall.truncated;
-  try {
-
-    // Per-role breakdown in hierarchy order, only for roles that exist.
-    for (const net::Role role :
-         {net::Role::ToR, net::Role::Aggregation, net::Role::Spine,
-          net::Role::RegionalHub, net::Role::Wan, net::Role::Other}) {
-      const std::vector<net::DeviceId> members = network_.devices_with_role(role);
-      if (members.empty()) continue;
-      RoleBreakdown row;
-      row.role = role;
-      row.device_count = members.size();
-      for (const net::DeviceId id : members) {
-        row.interface_count += network_.device(id).interfaces.size();
-        row.rule_count += network_.table(id, net::TableKind::Acl).size() +
-                          network_.table(id, net::TableKind::Fib).size();
-      }
-      row.metrics = metrics_for(role_filter(role));
-      report.truncated = report.truncated || row.metrics.truncated;
-      report.by_role.push_back(row);
+  // Per-role breakdown in declaration (hierarchy) order, only for roles
+  // that exist.
+  for (uint8_t r = 0; r <= static_cast<uint8_t>(net::Role::Other); ++r) {
+    const auto role = static_cast<net::Role>(r);
+    const std::vector<net::DeviceId> members = network_.devices_with_role(role);
+    if (members.empty()) continue;
+    RoleBreakdown row;
+    row.role = role;
+    row.device_count = members.size();
+    for (const net::DeviceId id : members) {
+      row.interface_count += network_.device(id).interfaces.size();
+      row.rule_count += network_.table(id, net::TableKind::Acl).size() +
+                        network_.table(id, net::TableKind::Fib).size();
     }
+    row.metrics = fold_row(measures, members);
+    report.by_role.push_back(row);
+  }
 
-    // Gap analysis: untested rules grouped by provenance (§7.2).
-    std::map<net::RouteKind, RuleGap> gaps;
-    for (const net::Rule& rule : network_.rules()) {
-      if (index_.match_set(rule.id).empty()) continue;
-      RuleGap& gap = gaps[rule.kind];
-      gap.kind = rule.kind;
-      ++gap.total;
-      if (covered_.covered(rule.id).empty()) ++gap.untested;
-    }
-    for (const auto& [kind, gap] : gaps) report.gaps.push_back(gap);
+  // Gap analysis: untested rules grouped by provenance (§7.2).
+  std::map<net::RouteKind, RuleGap> gaps;
+  for (const net::Rule& rule : network_.rules()) {
+    if (index_.match_set(rule.id).empty()) continue;
+    RuleGap& gap = gaps[rule.kind];
+    gap.kind = rule.kind;
+    ++gap.total;
+    if (covered_.covered(rule.id).empty()) ++gap.untested;
+  }
+  for (const auto& [kind, gap] : gaps) report.gaps.push_back(gap);
 
-    for (const net::Device& dev : network_.devices()) {
-      if (device_coverage(dev.id) == 0.0) ++report.untested_device_count;
+  for (const net::Device& dev : network_.devices()) {
+    if (measures.devices[dev.id.value] == 0.0) ++report.untested_device_count;
+    for (const net::InterfaceId intf : dev.interfaces) {
+      if (measures.interfaces[intf.value] == 0.0) ++report.untested_interface_count;
     }
-    report.untested_interface_count = untested_interfaces().size();
-  } catch (const StatusError& e) {
-    // A budget tripping mid-report leaves the rows computed so far in
-    // place; the flag tells readers the report is partial.
-    if (!is_resource_exhaustion(e.code())) throw;
-    report.truncated = true;
   }
   return report;
 }

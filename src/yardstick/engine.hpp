@@ -121,10 +121,12 @@ class CoverageEngine {
 
   /// The four headline metrics for an arbitrary device subset — the §3.1
   /// "what do our tests say about a particular pod?" query. Null filter =
-  /// the whole network.
+  /// the whole network. Each rule the subset reads is measured once and
+  /// all four numbers fold from that table (DESIGN.md §15).
   [[nodiscard]] MetricRow metrics(const DeviceFilter& filter = nullptr) const;
 
-  /// The standard report: overall + per-role breakdown + gap analysis.
+  /// The standard report: overall + per-role breakdown + gap analysis,
+  /// every row folded from one measurement per rule.
   [[nodiscard]] CoverageReport report() const;
 
   /// Rules with zero coverage, optionally filtered (gap drill-down §7.2).
@@ -153,10 +155,21 @@ class CoverageEngine {
 
  private:
   [[nodiscard]] std::vector<net::DeviceId> filtered_devices(const DeviceFilter& filter) const;
-  /// Runs `fn()` under the engine's budget; a tripped budget sets
-  /// `*degraded` and leaves the fallback value in place of the result.
-  template <typename Fn>
-  [[nodiscard]] double degradable(bool* degraded, Fn&& fn) const;
+
+  /// Step 3 measured once (DESIGN.md §15): µ for every rule a fold over
+  /// some devices reads, and each of their device and outgoing-interface
+  /// components derived from it.
+  struct ComponentMeasures {
+    std::vector<coverage::MeasureResult> rules;  // fraction measure, by RuleId
+    std::vector<double> devices;                 // device coverage, by DeviceId
+    std::vector<double> interfaces;              // outgoing coverage, by InterfaceId
+    bool truncated = false;  // a budget tripped during the per-rule pass
+  };
+  [[nodiscard]] ComponentMeasures measure_components(
+      const std::vector<net::DeviceId>& devices) const;
+  /// The four headline metrics over `devices`, folded from `measures`.
+  [[nodiscard]] MetricRow fold_row(const ComponentMeasures& measures,
+                                   const std::vector<net::DeviceId>& devices) const;
 
   /// Init-list helpers: build step 1 / step 2 while timing them into
   /// `timings` (guaranteed copy elision constructs the member in place;

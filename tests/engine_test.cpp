@@ -1,6 +1,7 @@
 // Tests for the Yardstick engine (phase 2) and tracker (phase 1).
 #include <gtest/gtest.h>
 
+#include "netio/network_format.hpp"
 #include "nettest/state_checks.hpp"
 #include "test_util.hpp"
 #include "yardstick/engine.hpp"
@@ -162,6 +163,44 @@ TEST_F(EngineTest, ReportShapesAndText) {
     }
   }
   EXPECT_TRUE(has_default_gap);
+}
+
+TEST_F(EngineTest, ReportKeepsHostDevices) {
+  // Every role gets a row, Host included: a parsed network with one host
+  // device must show it, and the ALL row (which sums the role rows) must
+  // count every device the overall metrics fold over.
+  const netio::LoadedNetwork loaded = netio::parse_network(R"(network v1
+device tor0 role tor
+device h0 role host
+interface tor0 host0 kind host
+interface tor0 eth0
+interface h0 eth0
+link tor0:eth0 h0:eth0 subnet 172.16.0.0/31
+fib tor0 dst 10.0.1.0/24 fwd host0 kind internal
+fib tor0 dst 0.0.0.0/0 fwd eth0 kind default
+fib h0 dst 0.0.0.0/0 fwd eth0 kind default
+)");
+  const net::Network& network = loaded.network;
+  tracker_.mark_packet(net::device_location(network.devices()[1].id),
+                       dst(Ipv4Prefix::parse("10.0.1.0/24")));
+  const CoverageEngine engine(mgr_, network, tracker_.trace());
+  const CoverageReport report = engine.report();
+
+  ASSERT_EQ(report.by_role.size(), 2u);
+  EXPECT_EQ(report.by_role[0].role, net::Role::ToR);
+  EXPECT_EQ(report.by_role[1].role, net::Role::Host);
+  EXPECT_EQ(report.by_role[1].device_count, 1u);
+  EXPECT_EQ(report.by_role[1].rule_count, 1u);
+  EXPECT_EQ(report.by_role[1].metrics.device_fractional, 1.0);
+  EXPECT_EQ(report.by_role[0].metrics.device_fractional, 0.0);
+  size_t all_devices = 0;
+  for (const RoleBreakdown& row : report.by_role) all_devices += row.device_count;
+  EXPECT_EQ(all_devices, network.device_count());
+  EXPECT_EQ(report.overall.device_fractional, 0.5);
+  const std::string text = report.to_text();
+  const size_t all_row = text.find("  ALL ");
+  ASSERT_NE(all_row, std::string::npos);
+  EXPECT_EQ(std::stoul(text.substr(all_row + 6)), network.device_count());
 }
 
 TEST_F(EngineTest, MonotonicityAcrossEngineRuns) {

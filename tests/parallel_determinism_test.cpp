@@ -8,12 +8,17 @@
 
 #include <memory>
 
+#include "nettest/acl_checks.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "nettest/transform_checks.hpp"
 #include "routing/fib_builder.hpp"
+#include "test_util.hpp"
+#include "topo/acl.hpp"
 #include "topo/fattree.hpp"
 #include "topo/regional.hpp"
+#include "topo/transforms.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/tracker.hpp"
 
@@ -60,6 +65,45 @@ void expect_same_metrics(const ys::MetricRow& serial, const ys::MetricRow& paral
   EXPECT_EQ(serial.rule_fractional, parallel.rule_fractional) << threads << " threads";
   EXPECT_EQ(serial.rule_weighted, parallel.rule_weighted) << threads << " threads";
   EXPECT_EQ(serial.truncated, parallel.truncated) << threads << " threads";
+}
+
+/// report() folds every row from one per-rule measure table; each of its
+/// numbers must equal, bit for bit, what the reference collection API
+/// computes from freshly built component specs.
+void expect_report_matches_reference(const net::Network& network,
+                                     const ys::CoverageEngine& engine, unsigned threads) {
+  const ys::CoverageReport report = engine.report();
+  const coverage::Aggregator fractional = coverage::fractional_aggregator();
+  const coverage::Aggregator weighted = coverage::weighted_average_aggregator();
+  const auto expect_row = [&](const ys::MetricRow& row, const ys::DeviceFilter& filter,
+                              const char* what) {
+    SCOPED_TRACE(std::string(what) + " row at " + std::to_string(threads) + " threads");
+    EXPECT_EQ(row.device_fractional, engine.devices_coverage(fractional, filter));
+    EXPECT_EQ(row.interface_fractional, engine.interfaces_coverage(fractional, filter));
+    EXPECT_EQ(row.rule_fractional, engine.rules_coverage(fractional, filter));
+    EXPECT_EQ(row.rule_weighted, engine.rules_coverage(weighted, filter));
+    expect_same_metrics(engine.metrics(filter), row, threads);
+  };
+  expect_row(report.overall, nullptr, "overall");
+  size_t role_devices = 0;
+  for (const ys::RoleBreakdown& row : report.by_role) {
+    expect_row(row.metrics, ys::role_filter(row.role), net::to_string(row.role));
+    role_devices += row.device_count;
+  }
+  EXPECT_EQ(role_devices, network.device_count());
+
+  size_t untested_devices = 0;
+  for (const net::Device& d : network.devices()) {
+    if (engine.device_coverage(d.id) == 0.0) ++untested_devices;
+  }
+  EXPECT_EQ(report.untested_device_count, untested_devices) << threads << " threads";
+  EXPECT_EQ(report.untested_interface_count, engine.untested_interfaces().size())
+      << threads << " threads";
+
+  // Partial coverage, so the folds above are not all trivially 0 or 1.
+  EXPECT_GT(report.overall.rule_fractional, 0.0);
+  EXPECT_LT(report.overall.rule_fractional, 1.0);
+  EXPECT_FALSE(report.truncated);
 }
 
 constexpr unsigned kThreadCounts[] = {2, 4, 0};
@@ -195,6 +239,90 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
   EXPECT_FALSE(run.engine->truncated());
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
+}
+
+TEST_F(ParallelDeterminismTest, ReportMatchesReferenceOnTinyNet) {
+  testutil::TinyNetwork tiny = testutil::make_tiny();
+  // Behind leaf1's default route: an empty match set, measured vacuously.
+  tiny.net.add_rule(tiny.leaf1,
+                    net::MatchSpec::for_dst(packet::Ipv4Prefix::parse("10.0.0.0/8")),
+                    net::Action::forward({tiny.l1_up}), net::RouteKind::Other, 40);
+  coverage::CoverageTrace trace;
+  {
+    const dataplane::MatchSetIndex index(scratch_, tiny.net);
+    const dataplane::Transfer transfer(index);
+    ys::CoverageTracker tracker;
+    (void)nettest::DefaultRouteCheck().run(transfer, tracker);
+    tracker.mark_packet(net::to_location(tiny.l1_host),
+                        packet::PacketSet::dst_prefix(scratch_, tiny.p2));
+    trace = tracker.trace();
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    const EngineRun run = run_engine(tiny.net, trace, threads);
+    expect_report_matches_reference(tiny.net, *run.engine, threads);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, ReportMatchesReferenceOnFatTree) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  coverage::CoverageTrace trace;
+  {
+    // The CLI's `fattree` suite.
+    const dataplane::MatchSetIndex index(scratch_, tree.network);
+    const dataplane::Transfer transfer(index);
+    ys::CoverageTracker tracker;
+    (void)nettest::DefaultRouteCheck().run(transfer, tracker);
+    (void)nettest::ToRContract().run(transfer, tracker);
+    (void)nettest::ToRReachability().run(transfer, tracker);
+    (void)nettest::ToRPingmesh().run(transfer, tracker);
+    trace = tracker.trace();
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    const EngineRun run = run_engine(tree.network, trace, threads);
+    expect_report_matches_reference(tree.network, *run.engine, threads);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, ReportMatchesReferenceOnRegionalWithAclsAndTransforms) {
+  topo::RegionalParams params;
+  params.datacenters = 2;
+  params.pods_per_dc = 1;
+  params.tors_per_pod = 2;
+  params.aggs_per_pod = 2;
+  params.spines_per_dc = 2;
+  params.hubs = 2;
+  params.wans = 1;
+  params.host_ports_per_tor = 2;
+  params.wide_area_prefix_count = 4;
+  params.hubs_without_default = 1;
+  topo::RegionalNetwork region = topo::make_regional(params);
+  const topo::TransformState transforms =
+      topo::plan_transforms(region, {.tunnels = 2, .nat_rules_per_wan = 1});
+  routing::FibBuilder::compute_and_build(region.network, region.routing);
+  topo::install_ingress_acls(region.network, region.tors);
+  topo::install_transform_rules(region.network, transforms, region.routing);
+
+  coverage::CoverageTrace trace;
+  {
+    // The CLI's `final` suite with --acl and --transforms.
+    const dataplane::MatchSetIndex index(scratch_, region.network);
+    const dataplane::Transfer transfer(index);
+    ys::CoverageTracker tracker;
+    (void)nettest::DefaultRouteCheck().run(transfer, tracker);
+    (void)nettest::AggCanReachTorLoopback().run(transfer, tracker);
+    (void)nettest::InternalRouteCheck().run(transfer, tracker);
+    (void)nettest::ConnectedRouteCheck().run(transfer, tracker);
+    (void)nettest::AclBlockCheck().run(transfer, tracker);
+    (void)nettest::BlockedPortCheck().run(transfer, tracker);
+    (void)nettest::TunnelRoundTripCheck().run(transfer, tracker);
+    (void)nettest::NatTranslationCheck().run(transfer, tracker);
+    trace = tracker.trace();
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    const EngineRun run = run_engine(region.network, trace, threads);
+    expect_report_matches_reference(region.network, *run.engine, threads);
+  }
 }
 
 TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
