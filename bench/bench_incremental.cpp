@@ -30,15 +30,8 @@ using namespace yardstick;
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atof(value);
-}
-
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atoi(value);
-}
+using benchutil::env_f64;
+using benchutil::env_int;
 
 struct TimedRun {
   double seconds = 0.0;
@@ -66,8 +59,8 @@ TimedRun build_engine(const net::Network& network, const coverage::CoverageTrace
 
 int main() {
   const int k = env_int("YS_INC_K", 8);
-  const double churn_pct = env_double("YS_INC_CHURN_PCT", 5.0);
-  const double floor = env_double("YS_INC_MIN_SPEEDUP", 5.0);
+  const double churn_pct = env_f64("YS_INC_CHURN_PCT", 5.0);
+  const double floor = env_f64("YS_INC_MIN_SPEEDUP", 5.0);
   const std::string cache_dir = "/tmp/ys_bench_incremental";
   std::remove((cache_dir + "/coverage.cache").c_str());
 

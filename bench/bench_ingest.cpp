@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,22 +30,6 @@ size_t env_size(const char* name, size_t fallback) {
   if (v == nullptr) return fallback;
   const long long n = std::atoll(v);
   return n > 0 ? static_cast<size_t>(n) : fallback;
-}
-
-/// Peak resident set (VmHWM) in MiB, from /proc/self/status.
-double peak_rss_mib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0.0;
-  char line[256];
-  long kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kb = std::atol(line + 6);
-      break;
-    }
-  }
-  std::fclose(f);
-  return static_cast<double>(kb) / 1024.0;
 }
 
 struct Config {
@@ -146,7 +129,8 @@ int main() {
                 r.events_per_sec, static_cast<unsigned long long>(r.batches),
                 static_cast<unsigned long long>(r.busy));
   }
-  std::printf("# peak RSS %.1f MiB\n", peak_rss_mib());
+  std::printf("# peak RSS %.1f MiB\n",
+              static_cast<double>(benchutil::peak_rss_kb()) / 1024.0);
 
   if (const char* floor = std::getenv("YS_INGEST_MIN_EPS")) {
     const double min_eps = std::atof(floor);

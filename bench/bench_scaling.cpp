@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,29 +50,8 @@ using namespace yardstick;
 
 namespace {
 
-double env_f64(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atof(env);
-}
-
-int env_int(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atoi(env);
-}
-
-/// Process high-water RSS in kB (VmHWM from /proc/self/status; 0 when the
-/// file is unavailable, e.g. non-Linux).
-size_t peak_rss_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
-}
+using benchutil::env_f64;
+using benchutil::env_int;
 
 /// User + system CPU seconds of the whole process, every thread included.
 double process_cpu_seconds() {
@@ -133,7 +111,7 @@ RunResult run_offline(const topo::FatTree& tree, const coverage::CoverageTrace& 
   out.wall_s = watch.seconds();
 
   out.peak_arena_nodes = budget.peak_bdd_nodes();
-  out.peak_rss_kb = peak_rss_kb();
+  out.peak_rss_kb = benchutil::peak_rss_kb();
   const bdd::BddManager::Stats primary = mgr.stats();
   out.op_cache_entries = primary.op_cache_entries;
   const uint64_t hits =

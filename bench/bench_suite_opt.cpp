@@ -38,15 +38,8 @@ using namespace yardstick;
 
 namespace {
 
-double env_f64(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atof(env);
-}
-
-int env_int(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atoi(env);
-}
+using benchutil::env_f64;
+using benchutil::env_int;
 
 /// A production-shaped suite: the end-to-end tests arrive pre-sharded by
 /// source ToR (YS_SUITEOPT_SHARDS slices each, default 4) the way real

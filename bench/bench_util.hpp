@@ -71,6 +71,32 @@ inline double path_budget_seconds(double fallback = 60.0) {
   return env == nullptr ? fallback : std::atof(env);
 }
 
+/// Floating-point knob from environment variable `name`, else `fallback`.
+inline double env_f64(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  return env == nullptr ? fallback : std::atof(env);
+}
+
+/// Integer knob from environment variable `name`, else `fallback`.
+inline int env_int(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  return env == nullptr ? fallback : std::atoi(env);
+}
+
+/// Process high-water RSS in kB (VmHWM from /proc/self/status; 0 when the
+/// file is unavailable, e.g. non-Linux).
+inline size_t peak_rss_kb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  size_t kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %zu", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
+}
+
 /// Worker-thread count for the parallel-offline-phase comparison, from
 /// YS_BENCH_THREADS (default 4).
 inline unsigned bench_threads(unsigned fallback = 4) {

@@ -21,9 +21,15 @@ std::vector<RuleSplit> Transfer::split(net::DeviceId device,
                                        net::TableKind table) const {
   std::vector<RuleSplit> out;
   if (input.empty()) return out;
+  const std::span<const net::RuleId> rules = network().table(device, table);
+  const std::span<const packet::Ipv4Range> ranges = network().table_dst_ranges(device, table);
+  // A rule whose destination range misses the input's claims nothing.
+  const packet::Ipv4Range reach = input.dst_range();
   PacketSet remaining = input;
-  for (const net::RuleId rid : network().table(device, table)) {
+  for (size_t i = 0; i < rules.size(); ++i) {
     if (remaining.empty()) break;
+    if (!ranges[i].overlaps(reach)) continue;
+    const net::RuleId rid = rules[i];
     const net::Rule& r = network().rule(rid);
     if (!interface_allowed(r.match, in_interface)) continue;
     PacketSet claimed = remaining.intersect(index_.match_set(rid));
@@ -88,11 +94,11 @@ std::vector<HopOutput> Transfer::apply(const net::Rule& rule,
 
 net::RuleId Transfer::lookup(net::DeviceId device, net::InterfaceId in_interface,
                              const ConcretePacket& pkt, net::TableKind table) const {
-  for (const net::RuleId rid : network().table(device, table)) {
-    const net::Rule& r = network().rule(rid);
-    if (interface_allowed(r.match, in_interface) && matches(r.match, pkt, in_interface)) {
-      return rid;
-    }
+  const std::span<const net::RuleId> rules = network().table(device, table);
+  const std::span<const packet::Ipv4Range> ranges = network().table_dst_ranges(device, table);
+  for (size_t i = 0; i < rules.size(); ++i) {
+    if (!ranges[i].contains(pkt.dst_ip)) continue;
+    if (matches(network().rule(rules[i]).match, pkt, in_interface)) return rules[i];
   }
   return {};
 }

@@ -22,6 +22,7 @@ DeviceId Network::add_device(std::string name, Role role, uint32_t asn) {
   d.asn = asn;
   devices_.push_back(std::move(d));
   tables_.emplace_back();
+  dst_ranges_.emplace_back();
   return id;
 }
 
@@ -84,15 +85,19 @@ RuleId Network::add_rule(DeviceId device, MatchSpec match, Action action, RouteK
   r.device = device;
   r.table = table;
   r.priority = priority;
+  const packet::Ipv4Range range =
+      match.dst_prefix ? match.dst_prefix->range() : packet::Ipv4Range{};
   r.match = std::move(match);
   r.action = std::move(action);
   r.kind = kind;
   rules_.push_back(std::move(r));
   auto& tbl = tables_[device.value][static_cast<size_t>(table)];
+  auto& ranges = dst_ranges_[device.value][static_cast<size_t>(table)];
   // Stable insert keeping ascending priority order.
   const auto pos = std::upper_bound(
       tbl.begin(), tbl.end(), priority,
       [this](uint32_t p, RuleId rid) { return p < rules_[rid.value].priority; });
+  ranges.insert(ranges.begin() + (pos - tbl.begin()), range);
   tbl.insert(pos, id);
   return id;
 }
@@ -101,6 +106,9 @@ void Network::clear_rules() {
   rules_.clear();
   for (auto& per_device : tables_) {
     for (auto& tbl : per_device) tbl.clear();
+  }
+  for (auto& per_device : dst_ranges_) {
+    for (auto& ranges : per_device) ranges.clear();
   }
 }
 

@@ -43,7 +43,8 @@ class Network {
 
   /// Append a rule to one of a device's tables (forwarding table by
   /// default). Rules are kept sorted by ascending `priority` (stable for
-  /// equal priorities). Returns the global RuleId.
+  /// equal priorities), each with its destination range beside it (see
+  /// table_dst_ranges). Returns the global RuleId.
   RuleId add_rule(DeviceId device, MatchSpec match, Action action,
                   RouteKind kind = RouteKind::Other, uint32_t priority = 0,
                   TableKind table = TableKind::Fib);
@@ -62,8 +63,9 @@ class Network {
   [[nodiscard]] const Link& link(LinkId id) const { return links_[id.value]; }
   [[nodiscard]] const Rule& rule(RuleId id) const { return rules_[id.value]; }
   /// Mutable rule access — for fault injection in tests and what-if
-  /// analyses. Changing a rule's match invalidates table ordering; only
-  /// actions should be edited in place.
+  /// analyses. A rule's match and priority are frozen by add_rule: the
+  /// table order and the destination-range index are built from them, so
+  /// only the action may be edited in place.
   [[nodiscard]] Rule& mutable_rule(RuleId id) { return rules_[id.value]; }
 
   [[nodiscard]] size_t device_count() const { return devices_.size(); }
@@ -84,6 +86,15 @@ class Network {
   /// Ordered rule list of one of the device's tables.
   [[nodiscard]] std::span<const RuleId> table(DeviceId id, TableKind kind) const {
     return tables_[id.value][static_cast<size_t>(kind)];
+  }
+
+  /// Destination range of each rule of `table(id, kind)`, position for
+  /// position: the addresses of the rule's `dst_prefix`, or every address
+  /// when it has none. A rule's packets never leave its range, so table
+  /// walks skip rules whose range misses the input's (DESIGN.md §16).
+  [[nodiscard]] std::span<const packet::Ipv4Range> table_dst_ranges(
+      DeviceId id, TableKind kind = TableKind::Fib) const {
+    return dst_ranges_[id.value][static_cast<size_t>(kind)];
   }
 
   /// True if the device has an ingress ACL stage.
@@ -119,6 +130,8 @@ class Network {
   std::vector<Rule> rules_;
   /// Per device, per TableKind, in priority order.
   std::vector<std::array<std::vector<RuleId>, kTableCount>> tables_;
+  /// Parallel to tables_: each rule's destination range.
+  std::vector<std::array<std::vector<packet::Ipv4Range>, kTableCount>> dst_ranges_;
   std::unordered_map<std::string, DeviceId> device_by_name_;
 };
 

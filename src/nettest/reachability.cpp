@@ -24,13 +24,21 @@ TestResult ToRReachability::run(const dataplane::Transfer& transfer,
     }
   }
 
+  // before[i] = hosted[0..i) and after[i] = hosted(i..n): each source's
+  // headers in one union, exact even when hosted prefixes overlap.
+  std::vector<PacketSet> before(tors.size(), PacketSet::none(mgr));
+  std::vector<PacketSet> after(tors.size(), PacketSet::none(mgr));
+  for (size_t i = 1; i < tors.size(); ++i) {
+    before[i] = before[i - 1].union_with(hosted[i - 1]);
+  }
+  for (size_t i = tors.size(); i-- > 1;) {
+    after[i - 1] = after[i].union_with(hosted[i]);
+  }
+
   for (size_t src = 0; src < tors.size(); ++src) {
     if (!shard_.contains(src)) continue;
     // All packets originating at this ToR destined to any other ToR.
-    PacketSet headers = PacketSet::none(mgr);
-    for (size_t dst = 0; dst < tors.size(); ++dst) {
-      if (dst != src) headers = headers.union_with(hosted[dst]);
-    }
+    const PacketSet headers = before[src].union_with(after[src]);
     const std::vector<net::InterfaceId> src_ports =
         network.ports_of_kind(tors[src], net::PortKind::HostPort);
     const net::InterfaceId ingress = src_ports.empty() ? net::InterfaceId{} : src_ports[0];

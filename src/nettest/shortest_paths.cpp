@@ -12,8 +12,9 @@ std::vector<int> fabric_distances(const net::Network& network, net::DeviceId ori
   while (!queue.empty()) {
     const net::DeviceId v = queue.front();
     queue.pop_front();
-    for (const auto& [intf, peer] : network.neighbors(v)) {
-      if (dist[peer.value] == kUnreachable) {
+    for (const net::InterfaceId intf : network.device(v).interfaces) {
+      const net::DeviceId peer = network.neighbor(intf);
+      if (peer.valid() && dist[peer.value] == kUnreachable) {
         dist[peer.value] = dist[v.value] + 1;
         queue.push_back(peer);
       }
@@ -28,8 +29,9 @@ std::vector<net::InterfaceId> contract_next_hops(const net::Network& network,
   std::vector<net::InterfaceId> out;
   const int d = distances[device.value];
   if (d <= 0) return out;
-  for (const auto& [intf, peer] : network.neighbors(device)) {
-    if (distances[peer.value] == d - 1) out.push_back(intf);
+  for (const net::InterfaceId intf : network.device(device).interfaces) {
+    const net::DeviceId peer = network.neighbor(intf);
+    if (peer.valid() && distances[peer.value] == d - 1) out.push_back(intf);
   }
   std::sort(out.begin(), out.end());
   return out;

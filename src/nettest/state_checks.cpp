@@ -10,9 +10,15 @@ namespace yardstick::nettest {
 std::optional<net::RuleId> find_rule_for_prefix(const net::Network& network,
                                                 net::DeviceId device,
                                                 const packet::Ipv4Prefix& prefix) {
-  for (const net::RuleId rid : network.table(device)) {
-    const net::Rule& rule = network.rule(rid);
-    if (rule.match.dst_prefix && *rule.match.dst_prefix == prefix) return rid;
+  const std::span<const net::RuleId> rules = network.table(device);
+  const std::span<const packet::Ipv4Range> ranges = network.table_dst_ranges(device);
+  const packet::Ipv4Range wanted = prefix.range();
+  for (size_t i = 0; i < rules.size(); ++i) {
+    // A rule without a dst prefix spans every address too, yet it is no
+    // route for 0.0.0.0/0: confirm the prefix itself.
+    if (ranges[i] == wanted && network.rule(rules[i]).match.dst_prefix == prefix) {
+      return rules[i];
+    }
   }
   return std::nullopt;
 }

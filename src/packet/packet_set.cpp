@@ -84,6 +84,30 @@ PacketSet PacketSet::forget_field(Field f) const {
   return PacketSet(mgr.exists(bdd_, quantified));
 }
 
+Ipv4Range PacketSet::dst_range() const {
+  if (empty()) return {};
+  const BddManager& mgr = *bdd_.manager();
+  bdd::NodeIndex n = bdd_.index();
+  uint32_t address = 0;
+  uint8_t len = 0;
+  // Walk down while dst bit `len` is tested and one branch is empty; a
+  // skipped variable or a two-way branch ends the shared prefix.
+  while (len < kDstIp.width && n > bdd::kTrue) {
+    const bdd::BddNode& node = mgr.node(n);
+    if (node.var != kDstIp.offset + len) break;
+    if (node.low == bdd::kFalse) {
+      address |= uint32_t{1} << (kDstIp.width - 1 - len);
+      n = node.high;
+    } else if (node.high == bdd::kFalse) {
+      n = node.low;
+    } else {
+      break;
+    }
+    ++len;
+  }
+  return Ipv4Prefix(address, len).range();
+}
+
 std::string PacketSet::to_string() const {
   if (!valid()) return "packets(invalid)";
   if (empty()) return "packets(empty)";

@@ -92,6 +92,12 @@ class PacketSet {
   /// Forget the value of `field` (existential quantification).
   [[nodiscard]] PacketSet forget_field(Field f) const;
 
+  /// The destination addresses of the longest dst-IP prefix shared by every
+  /// packet of the set, read off the top BDD levels in at most 32 steps.
+  /// Every packet's destination lies inside it; the empty set, and any set
+  /// whose first dst bit is free, give the full range.
+  [[nodiscard]] Ipv4Range dst_range() const;
+
   [[nodiscard]] bool empty() const { return bdd_.is_false(); }
   [[nodiscard]] bool full() const { return bdd_.is_true(); }
   [[nodiscard]] const bdd::Bdd& raw() const { return bdd_; }

@@ -43,6 +43,18 @@ inline std::optional<uint32_t> parse_ipv4(std::string_view s) {
   return (addr << 8) | current;
 }
 
+/// An inclusive range [lo, hi] of host-order IPv4 addresses; the default is
+/// every address.
+struct Ipv4Range {
+  uint32_t lo = 0;
+  uint32_t hi = UINT32_MAX;
+
+  [[nodiscard]] bool contains(uint32_t addr) const { return lo <= addr && addr <= hi; }
+  [[nodiscard]] bool overlaps(const Ipv4Range& o) const { return lo <= o.hi && o.lo <= hi; }
+
+  friend bool operator==(const Ipv4Range&, const Ipv4Range&) = default;
+};
+
 /// An IPv4 prefix in CIDR form (address is stored masked to the length).
 class Ipv4Prefix {
  public:
@@ -95,6 +107,8 @@ class Ipv4Prefix {
   [[nodiscard]] uint32_t first() const { return addr_; }
   /// Last address of the prefix.
   [[nodiscard]] uint32_t last() const { return addr_ | ~mask(); }
+  /// The addresses the prefix covers, as a range.
+  [[nodiscard]] Ipv4Range range() const { return {first(), last()}; }
   /// Number of addresses covered (2^(32-len)), as uint64 to allow /0.
   [[nodiscard]] uint64_t size() const { return uint64_t{1} << (32 - len_); }
 

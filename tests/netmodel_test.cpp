@@ -85,14 +85,25 @@ TEST_F(NetworkTest, NeighborsAndLookup) {
 }
 
 TEST_F(NetworkTest, RulesSortedByPriority) {
-  const RuleId low = net_.add_rule(a_, MatchSpec{}, Action::drop(), RouteKind::Other, 10);
+  const auto p8 = packet::Ipv4Prefix::parse("10.0.0.0/8");
+  const auto p24 = packet::Ipv4Prefix::parse("10.1.2.0/24");
+  const RuleId low = net_.add_rule(a_, MatchSpec::for_dst(p8), Action::drop(),
+                                   RouteKind::Other, 10);
   const RuleId high = net_.add_rule(a_, MatchSpec{}, Action::drop(), RouteKind::Other, 1);
-  const RuleId mid = net_.add_rule(a_, MatchSpec{}, Action::drop(), RouteKind::Other, 5);
+  const RuleId mid = net_.add_rule(a_, MatchSpec::for_dst(p24), Action::drop(),
+                                   RouteKind::Other, 5);
   const auto table = net_.table(a_);
   ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table[0], high);
   EXPECT_EQ(table[1], mid);
   EXPECT_EQ(table[2], low);
+  // Destination ranges sit beside their rules; no dst prefix spans all.
+  const auto ranges = net_.table_dst_ranges(a_);
+  ASSERT_EQ(ranges.size(), 3u);
+  EXPECT_EQ(ranges[0], packet::Ipv4Range{});
+  EXPECT_EQ(ranges[1], p24.range());
+  EXPECT_EQ(ranges[2], p8.range());
+  EXPECT_TRUE(net_.table_dst_ranges(a_, TableKind::Acl).empty());
 }
 
 TEST_F(NetworkTest, EqualPrioritiesKeepInsertionOrder) {
@@ -108,6 +119,7 @@ TEST_F(NetworkTest, ClearRules) {
   net_.clear_rules();
   EXPECT_EQ(net_.rule_count(), 0u);
   EXPECT_TRUE(net_.table(a_).empty());
+  EXPECT_TRUE(net_.table_dst_ranges(a_).empty());
 }
 
 TEST_F(NetworkTest, PortsOfKind) {

@@ -1,6 +1,9 @@
 // Tests for PacketSet — the Figure 5 operations and field builders.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "bdd/uint128.hpp"
 #include "packet/packet_set.hpp"
 
@@ -168,6 +171,61 @@ TEST_F(PacketSetTest, EqualIsSemanticEquality) {
   const auto b = PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/8"))
                      .union_with(PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("11.0.0.0/8")));
   EXPECT_TRUE(a.equal(b));
+}
+
+TEST_F(PacketSetTest, DstRangeOfEmptyAndFullSetsIsEveryAddress) {
+  EXPECT_EQ(PacketSet::none(mgr).dst_range(), Ipv4Range{});
+  EXPECT_EQ(PacketSet::all(mgr).dst_range(), Ipv4Range{});
+  EXPECT_EQ(Ipv4Range{}, (Ipv4Range{0, 0xffffffffu}));
+}
+
+TEST_F(PacketSetTest, DstRangeOfPrefixIsThePrefix) {
+  for (const char* text : {"10.0.1.0/24", "0.0.0.0/1", "128.0.0.0/1", "192.168.7.9/32",
+                           "10.0.0.0/8"}) {
+    const Ipv4Prefix p = Ipv4Prefix::parse(text);
+    EXPECT_EQ(PacketSet::dst_prefix(mgr, p).dst_range(), p.range()) << text;
+  }
+  // Constraints on fields below the destination do not widen it.
+  const Ipv4Prefix p = Ipv4Prefix::parse("10.2.0.0/15");
+  const PacketSet bound = PacketSet::dst_prefix(mgr, p)
+                              .intersect(PacketSet::src_prefix(mgr, Ipv4Prefix::parse("1.0.0.0/8")))
+                              .intersect(PacketSet::field_equals(mgr, Field::DstPort, 443));
+  EXPECT_EQ(bound.dst_range(), p.range());
+}
+
+TEST_F(PacketSetTest, DstRangeOfSiblingPrefixesIsTheirParent) {
+  const PacketSet siblings =
+      PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/25"))
+          .union_with(PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.128/25")));
+  EXPECT_EQ(siblings.dst_range(), Ipv4Prefix::parse("10.0.0.0/24").range());
+  // Cousins share only their common ancestor.
+  const PacketSet cousins =
+      PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/24"))
+          .union_with(PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.2.0/24")));
+  EXPECT_EQ(cousins.dst_range(), Ipv4Prefix::parse("10.0.0.0/22").range());
+}
+
+TEST_F(PacketSetTest, DstRangeOfNonDstConstraintsIsEveryAddress) {
+  EXPECT_EQ(PacketSet::src_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/8")).dst_range(),
+            Ipv4Range{});
+  EXPECT_EQ(PacketSet::field_range(mgr, Field::DstPort, 80, 90).dst_range(), Ipv4Range{});
+  // A free leading destination bit ends the shared prefix even when later
+  // destination bits are fixed.
+  const PacketSet low_bit_fixed =
+      PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("0.0.0.1/32"))
+          .union_with(PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("128.0.0.1/32")));
+  EXPECT_EQ(low_bit_fixed.dst_range(), Ipv4Range{});
+}
+
+TEST_F(PacketSetTest, DstRangeOfAddressRangeIsSmallestCoveringPrefix) {
+  const std::pair<uint32_t, uint32_t> ranges[] = {
+      {0x0a000005u, 0x0a0000f0u}, {0x0a0000ffu, 0x0a000100u}, {7, 7}, {0, 0xfffffffeu}};
+  for (const auto& [lo, hi] : ranges) {
+    const uint8_t common = static_cast<uint8_t>(lo == hi ? 32 : std::countl_zero(lo ^ hi));
+    EXPECT_EQ(PacketSet::field_range(mgr, Field::DstIp, lo, hi).dst_range(),
+              Ipv4Prefix(lo, common).range())
+        << lo << "-" << hi;
+  }
 }
 
 TEST_F(PacketSetTest, ConcretePacketAssignmentRoundTrip) {

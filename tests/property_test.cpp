@@ -2,15 +2,18 @@
 //
 // A seeded generator produces layered random topologies (links only point
 // from lower to higher layers, so forwarding is loop-free and flood
-// conservation is exact) with randomized LPM tables. Each property is
-// checked across a sweep of seeds via TEST_P.
+// conservation is exact) with randomized LPM tables, ingress-restricted
+// routes, destination-free FIB and ACL entries and default routes. Each
+// property is checked across a sweep of seeds via TEST_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "coverage/components.hpp"
 #include "coverage/path_explorer.hpp"
 #include "dataplane/simulator.hpp"
+#include "nettest/state_checks.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/persist.hpp"
 
@@ -32,7 +35,13 @@ struct RandomNet {
 /// Layered random network: `layers` tiers of `width` devices; every device
 /// links to 1-2 devices in the next tier; the top tier has egress ports.
 /// Each device gets a randomized LPM table over /8../24 prefixes with
-/// forward/drop actions, plus (sometimes) a default route.
+/// forward/drop actions, plus (sometimes) a default route, an
+/// ingress-restricted route and a destination-free drop rule (source
+/// prefix and port range only). Devices off the source sometimes carry an
+/// ingress ACL of destination-free entries ending in a permit-all.
+/// Ingress restrictions list every interface traffic can arrive on, so
+/// floods and concrete runs agree; table walks given any other interface
+/// skip them.
 RandomNet make_random_net(uint32_t seed, int layers = 3, int width = 3) {
   std::mt19937 rng(seed);
   RandomNet out;
@@ -51,6 +60,8 @@ RandomNet make_random_net(uint32_t seed, int layers = 3, int width = 3) {
   // Links: each device to 1-2 next-tier devices.
   std::vector<std::vector<std::pair<net::InterfaceId, net::DeviceId>>> uplinks(
       n.device_count());
+  std::vector<std::vector<net::InterfaceId>> ingress(n.device_count());
+  ingress[out.source.value].push_back(out.source_port);
   for (int layer = 0; layer + 1 < layers; ++layer) {
     for (const net::DeviceId dev : tiers[layer]) {
       const int fanout = 1 + static_cast<int>(rng() % 2);
@@ -62,6 +73,7 @@ RandomNet make_random_net(uint32_t seed, int layers = 3, int width = 3) {
             peer, "d" + std::to_string(n.device(peer).interfaces.size()));
         n.add_link(ia, ib);
         uplinks[dev.value].emplace_back(ia, peer);
+        ingress[peer.value].push_back(ib);
       }
     }
   }
@@ -93,6 +105,38 @@ RandomNet make_random_net(uint32_t seed, int layers = 3, int width = 3) {
       n.add_rule(dev.id, net::MatchSpec::for_dst(Ipv4Prefix(0, 0)),
                  net::Action::forward({ups[rng() % ups.size()].first}),
                  net::RouteKind::Default, 32);
+    }
+    if (rng() % 2 == 0) {
+      const uint8_t len = static_cast<uint8_t>(8 + rng() % 17);
+      net::MatchSpec match = net::MatchSpec::for_dst(Ipv4Prefix(rng(), len));
+      match.in_interfaces = ingress[dev.id.value];
+      if (match.in_interfaces.empty()) match.in_interfaces.push_back(ups.front().first);
+      n.add_rule(dev.id, std::move(match),
+                 net::Action::forward({ups[rng() % ups.size()].first}),
+                 net::RouteKind::Other, 32u - len);
+    }
+    if (rng() % 2 == 0) {
+      net::MatchSpec match;
+      match.src_prefix = Ipv4Prefix(rng(), static_cast<uint8_t>(4 + rng() % 9));
+      const auto lo = static_cast<uint16_t>(rng());
+      match.dst_port = net::PortRange{
+          lo, static_cast<uint16_t>(std::min<uint32_t>(65535, lo + rng() % 4096))};
+      n.add_rule(dev.id, std::move(match), net::Action::drop(), net::RouteKind::DropRule, 0);
+    }
+    if (dev.id != out.source && rng() % 3 == 0) {
+      net::MatchSpec deny_src;
+      deny_src.src_prefix = Ipv4Prefix(rng(), static_cast<uint8_t>(2 + rng() % 7));
+      n.add_rule(dev.id, std::move(deny_src), net::Action::drop(), net::RouteKind::Security,
+                 0, net::TableKind::Acl);
+      net::MatchSpec deny_port;
+      const auto lo = static_cast<uint16_t>(rng());
+      deny_port.src_port = net::PortRange{
+          lo, static_cast<uint16_t>(std::min<uint32_t>(65535, lo + rng() % 2048))};
+      deny_port.proto = static_cast<uint8_t>(rng() % 2 == 0 ? 6 : 17);
+      n.add_rule(dev.id, std::move(deny_port), net::Action::drop(), net::RouteKind::Security,
+                 1, net::TableKind::Acl);
+      n.add_rule(dev.id, net::MatchSpec{}, net::Action::permit(), net::RouteKind::Security, 2,
+                 net::TableKind::Acl);
     }
   }
   return out;
@@ -244,7 +288,195 @@ TEST_P(RandomNetTest, PersistenceRoundTripOnRandomTraces) {
   }
 }
 
+// --- Table walks against table-order references with no index ---
+
+/// Transfer::split as a plain walk over every rule of the table.
+std::vector<dataplane::RuleSplit> reference_split(const MatchSetIndex& index,
+                                                  net::DeviceId device,
+                                                  net::InterfaceId in_interface,
+                                                  const PacketSet& input,
+                                                  net::TableKind table) {
+  std::vector<dataplane::RuleSplit> out;
+  PacketSet remaining = input;
+  for (const net::RuleId rid : index.network().table(device, table)) {
+    const auto& allowed = index.network().rule(rid).match.in_interfaces;
+    if (in_interface.valid() && !allowed.empty() &&
+        std::find(allowed.begin(), allowed.end(), in_interface) == allowed.end()) {
+      continue;
+    }
+    PacketSet claimed = remaining.intersect(index.match_set(rid));
+    if (claimed.empty()) continue;
+    remaining = remaining.minus(claimed);
+    out.push_back({rid, std::move(claimed)});
+  }
+  return out;
+}
+
+/// The ingress interfaces a walk is tried with: none (local injection)
+/// and each of the device's interfaces, listed by its restricted rules or
+/// not.
+std::vector<net::InterfaceId> walk_interfaces(const net::Device& dev) {
+  std::vector<net::InterfaceId> out{net::InterfaceId{}};
+  out.insert(out.end(), dev.interfaces.begin(), dev.interfaces.end());
+  return out;
+}
+
+/// A random destination prefix of any length, /0 through /32.
+Ipv4Prefix random_prefix(std::mt19937& rng) {
+  return {static_cast<uint32_t>(rng()), static_cast<uint8_t>(rng() % 33)};
+}
+
+/// An address at or next to a random dst-prefixed rule of the table: its
+/// first or last address, one past either end, or one inside. A random
+/// address when the table has none.
+uint32_t address_near_rules(const net::Network& network, net::DeviceId device,
+                            net::TableKind table, std::mt19937& rng) {
+  const auto rules = network.table(device, table);
+  if (!rules.empty()) {
+    const auto& dst = network.rule(rules[rng() % rules.size()]).match.dst_prefix;
+    if (dst) {
+      switch (rng() % 5) {
+        case 0: return dst->first();
+        case 1: return dst->last();
+        case 2: return dst->first() - 1;
+        case 3: return dst->last() + 1;
+        default: return dst->first() + static_cast<uint32_t>(rng() % dst->size());
+      }
+    }
+  }
+  return static_cast<uint32_t>(rng());
+}
+
+/// Random inputs for split: prefixes, non-prefix-aligned ranges, unions of
+/// distant prefixes, sets also bound on the source, match fields of the
+/// table's own rules, single packets and the full set.
+std::vector<PacketSet> split_inputs(bdd::BddManager& mgr, const MatchSetIndex& index,
+                                    net::DeviceId device, std::mt19937& rng) {
+  std::vector<PacketSet> out{PacketSet::all(mgr)};
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(PacketSet::dst_prefix(mgr, random_prefix(rng)));
+    const uint32_t a = rng(), b = rng();
+    out.push_back(PacketSet::field_range(mgr, packet::Field::DstIp, std::min(a, b),
+                                         std::max(a, b)));
+    const uint32_t lo = address_near_rules(index.network(), device, net::TableKind::Fib, rng);
+    out.push_back(PacketSet::field_range(mgr, packet::Field::DstIp, lo,
+                                         lo + std::min<uint32_t>(~lo, rng() % 100000)));
+    out.push_back(PacketSet::dst_prefix(mgr, random_prefix(rng))
+                      .union_with(PacketSet::dst_prefix(mgr, random_prefix(rng))));
+    out.push_back(PacketSet::dst_prefix(mgr, random_prefix(rng))
+                      .intersect(PacketSet::src_prefix(mgr, random_prefix(rng))));
+    ConcretePacket pkt;
+    pkt.dst_ip = address_near_rules(index.network(), device, net::TableKind::Fib, rng);
+    pkt.src_ip = rng();
+    pkt.dst_port = static_cast<uint16_t>(rng());
+    out.push_back(PacketSet::from_packet(mgr, pkt));
+  }
+  for (const net::RuleId rid : index.network().table(device)) {
+    out.push_back(index.match_field(rid));
+  }
+  return out;
+}
+
+TEST_P(RandomNetTest, SplitMatchesTableOrderReference) {
+  std::mt19937 rng(GetParam() * 7919 + 3);
+  const net::Network& network = rnet_.network;
+  for (const net::Device& dev : network.devices()) {
+    for (const PacketSet& input : split_inputs(mgr_, index_, dev.id, rng)) {
+      for (const net::InterfaceId in : walk_interfaces(dev)) {
+        for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+          const auto got = transfer_.split(dev.id, in, input, table);
+          const auto want = reference_split(index_, dev.id, in, input, table);
+          ASSERT_EQ(got.size(), want.size()) << dev.name << " " << input.to_string();
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].rule, want[i].rule) << dev.name;
+            EXPECT_EQ(got[i].packets, want[i].packets) << dev.name;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RandomNetTest, LookupMatchesTableOrderReference) {
+  std::mt19937 rng(GetParam() * 104729 + 11);
+  const net::Network& network = rnet_.network;
+  for (const net::Device& dev : network.devices()) {
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (int i = 0; i < 64; ++i) {
+        ConcretePacket pkt;
+        pkt.dst_ip = i % 2 == 0 ? static_cast<uint32_t>(rng())
+                                : address_near_rules(network, dev.id, table, rng);
+        pkt.src_ip = rng();
+        pkt.proto = static_cast<uint8_t>(rng() % 2 == 0 ? 6 : rng());
+        pkt.src_port = static_cast<uint16_t>(rng());
+        pkt.dst_port = static_cast<uint16_t>(rng());
+        for (const net::InterfaceId in : walk_interfaces(dev)) {
+          net::RuleId want;
+          for (const net::RuleId rid : network.table(dev.id, table)) {
+            if (dataplane::matches(network.rule(rid).match, pkt, in)) {
+              want = rid;
+              break;
+            }
+          }
+          EXPECT_EQ(transfer_.lookup(dev.id, in, pkt, table), want)
+              << dev.name << " " << pkt.to_string();
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RandomNetTest, FindRuleForPrefixMatchesTableOrderReference) {
+  std::mt19937 rng(GetParam() * 15485863 + 5);
+  const net::Network& network = rnet_.network;
+  for (const net::Device& dev : network.devices()) {
+    std::vector<Ipv4Prefix> queries{packet::default_route_prefix()};
+    for (const net::RuleId rid : network.table(dev.id)) {
+      const auto& dst = network.rule(rid).match.dst_prefix;
+      if (!dst) continue;
+      queries.push_back(*dst);
+      // Same address one bit longer or shorter: same first address, other range.
+      if (dst->length() < 32) queries.emplace_back(dst->address(), dst->length() + 1);
+      if (dst->length() > 0) queries.emplace_back(dst->address(), dst->length() - 1);
+    }
+    for (int i = 0; i < 16; ++i) queries.push_back(random_prefix(rng));
+    for (const Ipv4Prefix& prefix : queries) {
+      std::optional<net::RuleId> want;
+      for (const net::RuleId rid : network.table(dev.id)) {
+        if (network.rule(rid).match.dst_prefix == prefix) {
+          want = rid;
+          break;
+        }
+      }
+      EXPECT_EQ(nettest::find_rule_for_prefix(network, dev.id, prefix), want)
+          << dev.name << " " << prefix.to_string();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetTest, ::testing::Range(0u, 10u));
+
+TEST(RandomNetGenerator, EmitsEveryRuleShape) {
+  // Across the seed sweep the generator exercises what the table index
+  // must handle: rules with no destination (FIB and ACL), ingress-
+  // restricted rules, and default routes.
+  int no_dst_fib = 0, no_dst_acl = 0, restricted = 0, defaults = 0;
+  for (uint32_t seed = 0; seed < 10; ++seed) {
+    const RandomNet rnet = make_random_net(seed);
+    for (const net::Rule& rule : rnet.network.rules()) {
+      if (!rule.match.dst_prefix) {
+        ++(rule.table == net::TableKind::Acl ? no_dst_acl : no_dst_fib);
+      } else if (rule.match.dst_prefix->length() == 0) {
+        ++defaults;
+      }
+      if (!rule.match.in_interfaces.empty()) ++restricted;
+    }
+  }
+  EXPECT_GT(no_dst_fib, 0);
+  EXPECT_GT(no_dst_acl, 0);
+  EXPECT_GT(restricted, 0);
+  EXPECT_GT(defaults, 0);
+}
 
 }  // namespace
 }  // namespace yardstick
