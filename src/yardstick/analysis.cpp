@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 
+#include "common/parallel.hpp"
 #include "coverage/covered_sets.hpp"
 #include "dataplane/match_sets.hpp"
 #include "obs/trace.hpp"
@@ -85,9 +83,8 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
 
   for (size_t i = 0; i < n; ++i) m.names[i] = suite.test(i).name();
 
-  const unsigned resolved =
-      threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-  const size_t workers = std::min<size_t>(resolved, n);
+  // An empty suite stays serial too: resolve_threads(t, 0) returns t.
+  const unsigned workers = n == 0 ? 1 : resolve_threads(threads, n);
   if (workers <= 1) {
     try {
       for (size_t i = 0; i < n; ++i) {
@@ -107,12 +104,12 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
     // index and transfer, and pulls tests off a shared counter. Rows are
     // emptiness facts about canonical sets, so they do not depend on which
     // worker (or manager) computed them — the serial and parallel paths
-    // agree bit for bit.
+    // agree bit for bit. A non-budget failure abandons that worker's
+    // remaining tests (their rows backfill to zero below) and is rethrown
+    // once every worker has joined.
     std::atomic<size_t> next{0};
     std::atomic<bool> truncated{false};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    auto work = [&] {
+    run_workers(workers, [&](unsigned /*worker*/) {
       try {
         bdd::BddManager worker_mgr(packet::kNumHeaderBits);
         const dataplane::MatchSetIndex worker_index(worker_mgr, network, budget);
@@ -130,24 +127,10 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
           }
         }
       } catch (const StatusError& e) {
-        if (is_resource_exhaustion(e.code())) {
-          truncated.store(true, std::memory_order_relaxed);
-        } else {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      } catch (...) {
-        // First non-budget failure wins; remaining tests of this worker
-        // are abandoned (their rows backfill to zero below).
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        if (!is_resource_exhaustion(e.code())) throw;
+        truncated.store(true, std::memory_order_relaxed);
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+    });
     if (truncated.load(std::memory_order_relaxed)) m.truncated = true;
   }
   for (std::vector<char>& row : m.covers) {

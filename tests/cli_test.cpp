@@ -5,7 +5,10 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+
+#include "json_checker.hpp"
 
 namespace {
 
@@ -221,6 +224,81 @@ TEST(CliTest, AnalyzeAndSuggestFlags) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("suite analysis"), std::string::npos);
   EXPECT_NE(r.output.find("suggested probes"), std::string::npos);
+}
+
+TEST(CliTest, RunModeRejectsOtherModesFlags) {
+  REQUIRE_CLI();
+  // Scenario and optimize flags used to be accepted and ignored here.
+  for (const char* flag :
+       {"--scenario-spec x.spec", "--random-links 2", "--seed 1", "--links-per-scenario 1",
+        "--minimize", "--prioritize", "--gap-report", "--min-coverage 0.5"}) {
+    EXPECT_EQ(run_cli(std::string("fattree --k 4 --suite original ") + flag).exit_code, 2)
+        << flag;
+  }
+}
+
+TEST(CliTest, ScenariosAndOptimizeRejectFlagsTheyDoNotRead) {
+  REQUIRE_CLI();
+  const std::string scenarios = "scenarios fattree --k 4 --suite fattree --random-links 1 ";
+  const std::string optimize = "optimize fattree --k 4 --suite fattree --minimize ";
+  for (const char* flag : {"--paths", "--paths 5", "--analyze", "--suggest 2",
+                           "--save-trace x.trace", "--load-trace x.trace"}) {
+    EXPECT_EQ(run_cli(scenarios + flag).exit_code, 2) << flag;
+    EXPECT_EQ(run_cli(optimize + flag).exit_code, 2) << flag;
+  }
+  for (const char* flag : {"--minimize", "--prioritize", "--gap-report", "--min-coverage 0.5"}) {
+    EXPECT_EQ(run_cli(scenarios + flag).exit_code, 2) << flag;
+  }
+  for (const char* flag :
+       {"--scenario-spec x.spec", "--random-links 2", "--seed 1", "--links-per-scenario 1"}) {
+    EXPECT_EQ(run_cli(optimize + flag).exit_code, 2) << flag;
+  }
+}
+
+TEST(CliTest, ScenariosAndOptimizeWriteObservabilityArtifacts) {
+  REQUIRE_CLI();
+  const auto slurp = [](const std::string& path) {
+    std::ostringstream text;
+    text << std::ifstream(path).rdbuf();
+    return text.str();
+  };
+  for (const char* mode : {"optimize fattree --k 4 --suite fattree --minimize",
+                           "scenarios fattree --k 4 --suite fattree --random-links 1"}) {
+    const std::string trace = ::testing::TempDir() + "/cli_obs_trace.json";
+    const std::string metrics = ::testing::TempDir() + "/cli_obs_metrics.json";
+    for (const std::string& path : {trace, metrics, metrics + ".prom"}) {
+      std::remove(path.c_str());
+    }
+    const CommandResult r = run_cli(std::string(mode) + " --trace-out " + trace +
+                                    " --metrics-out " + metrics);
+    EXPECT_EQ(r.exit_code, 0) << mode << "\n" << r.output;
+    const std::string timeline = slurp(trace);
+    EXPECT_NE(timeline.find("\"traceEvents\""), std::string::npos) << mode;
+    EXPECT_TRUE(yardstick::testutil::JsonChecker(timeline).well_formed()) << mode;
+    EXPECT_TRUE(yardstick::testutil::JsonChecker(slurp(metrics)).well_formed()) << mode;
+    EXPECT_TRUE(std::ifstream(metrics + ".prom").good()) << mode;
+    for (const std::string& path : {trace, metrics, metrics + ".prom"}) {
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(CliTest, FlagTableEdgeCases) {
+  REQUIRE_CLI();
+  // --paths takes its budget only when the next token is not a flag.
+  const CommandResult bare = run_cli("fattree --k 4 --suite original --paths --json");
+  EXPECT_EQ(bare.exit_code, 0) << bare.output;
+  EXPECT_NE(bare.output.find("\"paths\":{"), std::string::npos) << bare.output;
+  const CommandResult budgeted = run_cli("fattree --k 4 --suite original --paths 5");
+  EXPECT_EQ(budgeted.exit_code, 0) << budgeted.output;
+  EXPECT_NE(budgeted.output.find("path coverage:"), std::string::npos) << budgeted.output;
+  // --shard takes two values; a missing second one is a usage error.
+  EXPECT_EQ(run_cli("ingest fattree --socket /nonexistent.sock --shard 1").exit_code, 2);
+  // Subcommands that need a source or a destination say so with exit 2.
+  EXPECT_EQ(run_cli("ingest-replay").exit_code, 2);
+  EXPECT_EQ(run_cli("ingest-replay --json").exit_code, 2);
+  EXPECT_EQ(run_cli("ingest fattree").exit_code, 2);
+  EXPECT_EQ(run_cli("ingest fattree --k 4 --suite fattree").exit_code, 2);
 }
 
 }  // namespace

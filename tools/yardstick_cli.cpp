@@ -14,22 +14,32 @@
 //   yardstick ingest fattree --k 8 --socket /run/ys.sock --session 1
 //   yardstick ingest-replay --wal ys.wal --save-trace recovered.trace
 //
+// Every subcommand parses argv against one flag table (flag_table below):
+// a row names the subcommands that read its flag, so a subcommand rejects
+// every flag it would ignore, and its usage text lists exactly the flags
+// it accepts.
+//
 // Exit codes map the error taxonomy so scripts can dispatch on failures:
 //   0 all tests passed          4 corrupt trace file
 //   1 test failures             5 I/O error
 //   2 usage error               6 resource budget exceeded
 //   3 invalid input             7 cancelled
 //                              10 internal error
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/budget.hpp"
 #include "common/status.hpp"
@@ -93,14 +103,6 @@ bool parse_range(const char* s, long long lo, long long hi, long long& out) {
   return parse_i64(s, out) && out >= lo && out <= hi;
 }
 
-/// TCP port: 1..65535, no wrapping.
-bool parse_port(const char* s, uint16_t& out) {
-  long long v = 0;
-  if (!parse_range(s, 1, 65535, v)) return false;
-  out = static_cast<uint16_t>(v);
-  return true;
-}
-
 struct CliOptions {
   std::string topology;       // "fattree" | "regional" | "file"
   std::string network_file;   // for topology == "file"
@@ -133,177 +135,309 @@ struct CliOptions {
   bool prioritize = false;       // cost-aware ordering + coverage/cost curve
   bool gap_report = false;       // exhaustive gap witnesses
   double min_coverage = 1.0;     // minimization slack knob (fraction of full)
+  // Daemon subcommands: `serve` reads `daemon`, `ingest-replay` its
+  // wal/snapshot paths, `ingest` reads `client` and the shard split.
+  service::DaemonOptions daemon;
+  service::ClientOptions client = [] {
+    service::ClientOptions c;
+    c.batch_events = 64;
+    return c;
+  }();
+  size_t shard = 0;
+  size_t shards = 1;
 };
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <fattree|regional|file PATH> [options]\n"
-               "  --k N                fat-tree arity (default 4)\n"
-               "  --datacenters N      regional: datacenter count\n"
-               "  --pods N             regional: pods per datacenter\n"
-               "  --tors N             regional: ToRs per pod\n"
-               "  --suite NAME         original|new|final|fattree (default final)\n"
-               "  --acl                install ToR ingress ACLs and ACL tests\n"
-               "  --json               JSON output\n"
-               "  --paths [SECONDS]    also compute path coverage (budget)\n"
-               "  --analyze            per-test contributions + redundancy\n"
-               "  --suggest N          synthesize probes for N untested rules\n"
-               "  --save-trace FILE    persist the coverage trace\n"
-               "  --load-trace FILE    skip testing; compute metrics from FILE\n"
-               "  --deadline SECONDS   overall wall-clock budget (partial results)\n"
-               "  --max-bdd-nodes N    cap BDD arena size (partial results)\n"
-               "  --threads N          offline-phase worker threads (default: all\n"
-               "                       hardware threads; results are identical)\n"
-               "  --gc-threshold F     collect shard BDD arenas when the dead fraction\n"
-               "                       may exceed F in (0,1] (default off; results are\n"
-               "                       identical, peak memory shrinks)\n"
-               "  --incremental        cache offline-phase results in .yardstick-cache\n"
-               "                       and recompute only what changed (bit-identical)\n"
-               "  --cache-dir DIR      like --incremental, with an explicit cache directory\n"
-               "  --trace-out FILE     write a Chrome trace-event JSON span timeline\n"
-               "                       (open in about:tracing or ui.perfetto.dev)\n"
-               "  --metrics-out FILE   write engine metrics as JSON to FILE and\n"
-               "                       Prometheus text exposition to FILE.prom\n"
-               "  --transforms N       regional: N tunnels (VIP encap/decap across ToRs)\n"
-               "                       and N NAT rules per WAN, plus their checks\n"
-               "Scenario mode (coverage under failure, DESIGN.md §13):\n"
-               "  %s scenarios <topology> [options] --scenario-spec FILE\n"
-               "  %s scenarios <topology> [options] --random-links N [--seed S]\n"
-               "  --scenario-spec FILE named device/link failure sets (see DESIGN.md)\n"
-               "  --random-links N     N seeded random link-down scenarios instead\n"
-               "  --seed S             PRNG seed for --random-links (default 1)\n"
-               "  --links-per-scenario L  failed links per random scenario (default 1)\n"
-               "Optimize mode (suite minimization / prioritization / gap witnesses,\n"
-               "DESIGN.md §14):\n"
-               "  %s optimize <topology> [options] --minimize [--min-coverage F]\n"
-               "  %s optimize <topology> [options] --prioritize --gap-report --json\n"
-               "  --minimize           smallest subset preserving full-suite coverage\n"
-               "  --min-coverage F     keep >= F of the full suite's fractional rule\n"
-               "                       coverage, F in (0,1] (default 1.0 = exact)\n"
-               "  --prioritize         marginal-coverage-per-second order + cost curve\n"
-               "  --gap-report         witness packet (or state-only marker) for every\n"
-               "                       uncovered rule, grouped by device\n",
-               argv0, argv0, argv0, argv0, argv0);
+// --- the flag table ------------------------------------------------------
+
+/// Subcommands as bits, so one flag row names every subcommand that reads it.
+enum Command : unsigned {
+  kRun = 1u << 0,
+  kScenarios = 1u << 1,
+  kOptimize = 1u << 2,
+  kServe = 1u << 3,
+  kIngest = 1u << 4,
+  kIngestReplay = 1u << 5,
+};
+/// The subcommands that run a suite into a coverage engine.
+constexpr unsigned kEngine = kRun | kScenarios | kOptimize;
+
+/// A flag's value kind, as the parser sees it: how many argv tokens it
+/// takes and the store that validates and records them. `store` gets the
+/// tokens (null past the arity, and for an absent optional value) and
+/// returns false for a value outside the flag's range.
+struct Value {
+  enum Arity { kNone, kOne, kOptional, kTwo } arity;
+  std::function<bool(const char*, const char*)> store;
+};
+
+Value action(std::function<void()> act) {
+  return {Value::kNone, [act = std::move(act)](const char*, const char*) {
+            act();
+            return true;
+          }};
+}
+
+Value set_true(bool& dst) { return action([&dst] { dst = true; }); }
+
+/// Any token: `S` is std::string or std::optional<std::string>.
+template <class S>
+Value text(S& dst) {
+  return {Value::kOne, [&dst](const char* v, const char*) {
+            dst = v;
+            return true;
+          }};
+}
+
+Value integer(long long lo, long long hi, std::function<void(long long)> set) {
+  return {Value::kOne, [lo, hi, set = std::move(set)](const char* v, const char*) {
+            long long n = 0;
+            if (!parse_range(v, lo, hi, n)) return false;
+            set(n);
+            return true;
+          }};
+}
+
+template <class T>
+Value integer(T& dst, long long lo, long long hi) {
+  return integer(lo, hi, [&dst](long long n) { dst = static_cast<T>(n); });
+}
+
+/// TCP port: 1..65535, no wrapping.
+Value port(uint16_t& dst) { return integer(dst, 1, 65535); }
+
+/// Finite double in (0, hi].
+Value real(double& dst, double hi) {
+  return {Value::kOne, [&dst, hi](const char* v, const char*) {
+            return parse_f64(v, dst) && dst > 0.0 && dst <= hi;
+          }};
+}
+
+/// One flag: name and metavar (empty for a switch) as the usage text
+/// shows them, the subcommands that read it, its value, and its help
+/// (a '\n' continues on an indented line).
+struct Flag {
+  const char* name;
+  const char* metavar;
+  unsigned commands;
+  Value value;
+  const char* help;
+};
+
+/// Every flag of every subcommand, storing into `o`.
+std::vector<Flag> flag_table(CliOptions& o) {
+  constexpr long long kInt = INT_MAX;
+  constexpr long long kI64 = LLONG_MAX;
+  constexpr long long kU32 = UINT32_MAX;
+  constexpr double kUnbounded = HUGE_VAL;
+  return {
+      {"--k", "N", kEngine | kIngest, integer(o.k, 1, kInt), "fat-tree arity (default 4)"},
+      {"--datacenters", "N", kEngine, integer(o.regional.datacenters, 1, kInt),
+       "regional: datacenter count"},
+      {"--pods", "N", kEngine, integer(o.regional.pods_per_dc, 1, kInt),
+       "regional: pods per datacenter"},
+      {"--tors", "N", kEngine, integer(o.regional.tors_per_pod, 1, kInt),
+       "regional: ToRs per pod"},
+      {"--transforms", "N", kEngine, integer(o.transforms, 1, kInt),
+       "regional: N tunnels (VIP encap/decap across ToRs)\n"
+       "and N NAT rules per WAN, plus their checks"},
+      {"--suite", "NAME", kEngine | kIngest, text(o.suite),
+       "original|new|final|fattree (default final)"},
+      {"--acl", "", kEngine | kIngest, set_true(o.with_acl),
+       "install ToR ingress ACLs and ACL tests"},
+      {"--json", "", kEngine | kServe | kIngest | kIngestReplay, set_true(o.json),
+       "machine-readable output"},
+      {"--paths", "[SECONDS]", kRun,
+       {Value::kOptional,
+        [&o](const char* v, const char*) {
+          o.paths = true;
+          return v == nullptr || (parse_f64(v, o.path_budget_s) && o.path_budget_s > 0.0);
+        }},
+       "also compute path coverage (budget, default 60)"},
+      {"--analyze", "", kRun, set_true(o.analyze), "per-test contributions + redundancy"},
+      {"--suggest", "N", kRun, integer(o.suggest, 1, kI64),
+       "synthesize probes for N untested rules"},
+      {"--save-trace", "FILE", kRun | kIngestReplay, text(o.save_trace),
+       "persist the coverage trace"},
+      {"--load-trace", "FILE", kRun, text(o.load_trace),
+       "skip testing; compute metrics from FILE"},
+      {"--deadline", "SECONDS", kEngine, real(o.deadline_s, kUnbounded),
+       "overall wall-clock budget (partial results)"},
+      {"--max-bdd-nodes", "N", kEngine, integer(o.max_bdd_nodes, 1, kI64),
+       "cap BDD arena size (partial results)"},
+      {"--threads", "N", kEngine, integer(o.threads, 1, kInt),
+       "offline-phase worker threads (default: all\n"
+       "hardware threads; results are identical)"},
+      {"--gc-threshold", "F", kEngine, real(o.gc_threshold, 1.0),
+       "collect shard BDD arenas when the dead fraction\n"
+       "may exceed F in (0,1] (default off; results are\n"
+       "identical, peak memory shrinks)"},
+      {"--incremental", "", kEngine,
+       action([&o] {
+         if (o.cache_dir.empty()) o.cache_dir = ".yardstick-cache";
+       }),
+       "cache offline-phase results in .yardstick-cache\n"
+       "and recompute only what changed (bit-identical)"},
+      {"--cache-dir", "DIR", kEngine, text(o.cache_dir),
+       "like --incremental, with an explicit cache directory"},
+      {"--trace-out", "FILE", kEngine, text(o.trace_out),
+       "write a Chrome trace-event JSON span timeline\n"
+       "(open in about:tracing or ui.perfetto.dev)"},
+      {"--metrics-out", "FILE", kEngine | kServe, text(o.metrics_out),
+       "write metrics as JSON to FILE and Prometheus\n"
+       "text exposition to FILE.prom (serve: at exit)"},
+      {"--scenario-spec", "FILE", kScenarios, text(o.scenario_spec),
+       "named device/link failure sets (see DESIGN.md)"},
+      {"--random-links", "N", kScenarios, integer(o.random_links, 1, kInt),
+       "N seeded random link-down scenarios instead"},
+      {"--seed", "S", kScenarios, integer(o.scenario_seed, 0, kI64),
+       "PRNG seed for --random-links (default 1)"},
+      {"--links-per-scenario", "L", kScenarios, integer(o.links_per_scenario, 1, kInt),
+       "failed links per random scenario (default 1)"},
+      {"--minimize", "", kOptimize, set_true(o.minimize),
+       "smallest subset preserving full-suite coverage"},
+      {"--min-coverage", "F", kOptimize, real(o.min_coverage, 1.0),
+       "keep >= F of the full suite's fractional rule\n"
+       "coverage, F in (0,1] (default 1.0 = exact)"},
+      {"--prioritize", "", kOptimize, set_true(o.prioritize),
+       "marginal-coverage-per-second order + cost curve"},
+      {"--gap-report", "", kOptimize, set_true(o.gap_report),
+       "witness packet (or state-only marker) for every\n"
+       "uncovered rule, grouped by device"},
+      {"--socket", "PATH", kServe, text(o.daemon.socket_path),
+       "unix-domain listener (default: none)"},
+      {"--tcp", "PORT", kServe, port(o.daemon.tcp_port), "TCP listener on 127.0.0.1"},
+      {"--wal", "FILE", kServe | kIngestReplay, text(o.daemon.wal_path),
+       "daemon write-ahead journal (durable-before-ack)"},
+      {"--snapshot", "FILE", kServe | kIngestReplay, text(o.daemon.snapshot_path),
+       "daemon snapshot (compaction + graceful shutdown)"},
+      {"--queue", "N", kServe, integer(o.daemon.queue_capacity, 1, kI64),
+       "ingress queue bound (default 1024)"},
+      {"--compact-bytes", "N", kServe, integer(o.daemon.compact_wal_bytes, 1, kI64),
+       "compact once the WAL exceeds N bytes"},
+      {"--no-fsync", "", kServe, action([&o] { o.daemon.wal_fsync = false; }),
+       "skip per-append fsync (throughput over durability)"},
+      {"--socket", "PATH", kIngest, text(o.client.socket_path), "daemon unix socket"},
+      {"--tcp-port", "PORT", kIngest, port(o.client.tcp_port), "daemon TCP port (127.0.0.1)"},
+      {"--session", "ID", kIngest,
+       integer(1, kI64,
+               [&o](long long n) {
+                 o.client.session_id = static_cast<uint64_t>(n);
+                 o.client.jitter_seed = o.client.session_id * 0x9e3779b97f4a7c15ull + 1;
+               }),
+       "session identity (default 1)"},
+      {"--shard", "I M", kIngest,
+       {Value::kTwo,
+        [&o](const char* i, const char* m) {
+          long long index = 0, total = 0;
+          if (!parse_range(i, 0, kI64, index) || !parse_range(m, 1, kI64, total) ||
+              index >= total) {
+            return false;
+          }
+          o.shard = static_cast<size_t>(index);
+          o.shards = static_cast<size_t>(total);
+          return true;
+        }},
+       "send only shard I of M (deterministic split)"},
+      {"--batch-events", "N", kIngest, integer(o.client.batch_events, 1, kI64),
+       "auto-flush threshold (default 64)"},
+      {"--max-attempts", "N", kIngest, integer(o.client.max_attempts, 1, kU32),
+       "per-batch retry cap (default 8)"},
+      {"--backoff-base-ms", "N", kIngest, integer(o.client.backoff_base_ms, 1, kU32),
+       "first retry delay (default 10)"},
+      {"--ack-timeout-ms", "N", kIngest, integer(o.client.ack_timeout_ms, 1, kU32),
+       "per-reply wait (default 5000)"},
+  };
+}
+
+// --- subcommands ---------------------------------------------------------
+
+/// Which topology positional a subcommand takes.
+enum class Topology { kNone, kSynthetic, kAny };
+
+/// A usage error: reported with the subcommand's usage text, exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+void require(bool condition, const char* message) {
+  if (!condition) throw UsageError(message);
+}
+
+struct Subcommand {
+  const char* name;       // argv[1]; null for run mode
+  Command bit;
+  Topology topology;
+  const char* synopsis;   // after "usage: yardstick"
+  const char* notes;      // printed after the flag list
+  int (*run)(const CliOptions&);
+};
+
+int usage(const Subcommand& cmd, const char* argv0) {
+  std::fprintf(stderr, "usage: %s %s\n", argv0, cmd.synopsis);
+  CliOptions scratch;
+  for (const Flag& f : flag_table(scratch)) {
+    if ((f.commands & cmd.bit) == 0) continue;
+    const std::string label = std::string(f.name) + (*f.metavar ? " " : "") + f.metavar;
+    std::fprintf(stderr, "  %-20s ", label.c_str());
+    for (const char* c = f.help; *c != '\0'; ++c) {
+      std::fputc(*c, stderr);
+      if (*c == '\n') std::fprintf(stderr, "%23s", "");
+    }
+    std::fputc('\n', stderr);
+  }
+  std::fputs(cmd.notes, stderr);
   return 2;
 }
 
-std::optional<CliOptions> parse(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  CliOptions opts;
-  opts.topology = argv[1];
-  int first_option = 2;
-  if (opts.topology == "file") {
-    if (argc < 3) return std::nullopt;
-    opts.network_file = argv[2];
-    first_option = 3;
-  } else if (opts.topology != "fattree" && opts.topology != "regional") {
-    return std::nullopt;
-  }
-
-  for (int i = first_option; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Positive int / positive size flag values, strictly parsed.
-    const auto next_int = [&](int& out) {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 1, INT_MAX, v)) return false;
-      out = static_cast<int>(v);
-      return true;
-    };
-    const auto next_size = [&](size_t& out) {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 1, LLONG_MAX, v)) return false;
-      out = static_cast<size_t>(v);
-      return true;
-    };
-    if (arg == "--k") {
-      if (!next_int(opts.k)) return std::nullopt;
-    } else if (arg == "--datacenters") {
-      if (!next_int(opts.regional.datacenters)) return std::nullopt;
-    } else if (arg == "--pods") {
-      if (!next_int(opts.regional.pods_per_dc)) return std::nullopt;
-    } else if (arg == "--tors") {
-      if (!next_int(opts.regional.tors_per_pod)) return std::nullopt;
-    } else if (arg == "--suite") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.suite = argv[++i];
-    } else if (arg == "--acl") {
-      opts.with_acl = true;
-    } else if (arg == "--json") {
-      opts.json = true;
-    } else if (arg == "--paths") {
-      opts.paths = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (!parse_f64(argv[++i], opts.path_budget_s) || opts.path_budget_s <= 0.0) {
-          return std::nullopt;
-        }
-      }
-    } else if (arg == "--analyze") {
-      opts.analyze = true;
-    } else if (arg == "--suggest") {
-      if (!next_size(opts.suggest)) return std::nullopt;
-    } else if (arg == "--save-trace") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.save_trace = argv[++i];
-    } else if (arg == "--load-trace") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.load_trace = argv[++i];
-    } else if (arg == "--deadline") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.deadline_s) ||
-          opts.deadline_s <= 0.0) {
-        return std::nullopt;
-      }
-    } else if (arg == "--max-bdd-nodes") {
-      if (!next_size(opts.max_bdd_nodes)) return std::nullopt;
-    } else if (arg == "--threads") {
-      int n = 0;
-      if (!next_int(n)) return std::nullopt;
-      opts.threads = static_cast<unsigned>(n);
-    } else if (arg == "--gc-threshold") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.gc_threshold) ||
-          opts.gc_threshold <= 0.0 || opts.gc_threshold > 1.0) {
-        return std::nullopt;
-      }
-    } else if (arg == "--incremental") {
-      if (opts.cache_dir.empty()) opts.cache_dir = ".yardstick-cache";
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.cache_dir = argv[++i];
-    } else if (arg == "--trace-out") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.trace_out = argv[++i];
-    } else if (arg == "--metrics-out") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.metrics_out = argv[++i];
-    } else if (arg == "--transforms") {
-      if (!next_int(opts.transforms)) return std::nullopt;
-    } else if (arg == "--scenario-spec") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.scenario_spec = argv[++i];
-    } else if (arg == "--random-links") {
-      if (!next_int(opts.random_links)) return std::nullopt;
-    } else if (arg == "--seed") {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 0, LLONG_MAX, v)) return std::nullopt;
-      opts.scenario_seed = static_cast<uint64_t>(v);
-    } else if (arg == "--links-per-scenario") {
-      if (!next_int(opts.links_per_scenario)) return std::nullopt;
-    } else if (arg == "--minimize") {
-      opts.minimize = true;
-    } else if (arg == "--prioritize") {
-      opts.prioritize = true;
-    } else if (arg == "--gap-report") {
-      opts.gap_report = true;
-    } else if (arg == "--min-coverage") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.min_coverage) ||
-          opts.min_coverage <= 0.0 || opts.min_coverage > 1.0) {
-        return std::nullopt;
-      }
+/// Parses the positionals and flags after the subcommand word; throws
+/// UsageError on anything `cmd` does not read or a value out of range.
+CliOptions parse(const Subcommand& cmd, int argc, char** argv) {
+  CliOptions o;
+  int i = cmd.name != nullptr ? 2 : 1;
+  if (cmd.topology != Topology::kNone) {
+    require(i < argc, "missing topology");
+    o.topology = argv[i++];
+    if (o.topology == "file" && cmd.topology == Topology::kAny) {
+      require(i < argc, "file needs a network file path");
+      o.network_file = argv[i++];
     } else {
-      return std::nullopt;
+      require(o.topology == "fattree" || o.topology == "regional", "unknown topology");
     }
   }
-  return opts;
+  const std::vector<Flag> flags = flag_table(o);
+  for (; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+      return (f.commands & cmd.bit) != 0 && arg == f.name;
+    });
+    if (flag == flags.end()) {
+      throw UsageError(arg + " is not an option of " +
+                       (cmd.name != nullptr ? cmd.name : "run mode"));
+    }
+    const char* first = nullptr;
+    const char* second = nullptr;
+    switch (flag->value.arity) {
+      case Value::kNone:
+        break;
+      case Value::kOptional:
+        if (i + 1 < argc && argv[i + 1][0] != '-') first = argv[++i];
+        break;
+      case Value::kOne:
+        require(i + 1 < argc, "missing option value");
+        first = argv[++i];
+        break;
+      case Value::kTwo:
+        require(i + 2 < argc, "missing option value");
+        first = argv[++i];
+        second = argv[++i];
+        break;
+    }
+    if (!flag->value.store(first, second)) throw UsageError("bad value for " + arg);
+  }
+  return o;
 }
+
+// --- shared setup --------------------------------------------------------
 
 /// Topology + routing config + optional transform plan, built from the CLI
 /// options. Out-parameter style: the struct holds both the storage and the
@@ -365,8 +499,21 @@ void install_post_fib_state(const CliOptions& opts, const BuiltTopology& t,
   }
 }
 
+/// The topology with its forwarding state: computed by the BGP substrate
+/// unless a network file carried it.
+void build_network(const CliOptions& opts, BuiltTopology& t) {
+  build_topology(opts, t);
+  if (!t.state_loaded) {
+    routing::FibBuilder::compute_and_build(*t.network, *t.routing);
+    install_post_fib_state(opts, t, *t.network, *t.routing);
+  }
+}
+
 nettest::TestSuite build_suite(const CliOptions& opts,
-                               const std::unordered_set<net::DeviceId>& excluded) {
+                               const routing::RoutingConfig& routing) {
+  // Devices the routing config leaves without a default route.
+  const std::unordered_set<net::DeviceId> excluded(routing.no_default_devices.begin(),
+                                                   routing.no_default_devices.end());
   nettest::TestSuite suite(opts.suite);
   const bool original = opts.suite == "original" || opts.suite == "final";
   const bool fresh = opts.suite == "new" || opts.suite == "final";
@@ -395,6 +542,21 @@ nettest::TestSuite build_suite(const CliOptions& opts,
   return suite;
 }
 
+/// The --deadline / --max-bdd-nodes budget; null when neither was given.
+/// The deadline clock starts here.
+std::unique_ptr<ys::ResourceBudget> make_budget(const CliOptions& opts) {
+  if (opts.deadline_s <= 0.0 && opts.max_bdd_nodes == 0) return nullptr;
+  auto budget = std::make_unique<ys::ResourceBudget>();
+  if (opts.deadline_s > 0.0) budget->with_deadline(opts.deadline_s);
+  if (opts.max_bdd_nodes > 0) budget->with_max_bdd_nodes(opts.max_bdd_nodes);
+  return budget;
+}
+
+ys::EngineOptions engine_options(const CliOptions& opts,
+                                 const ys::ResourceBudget* budget) {
+  return {budget, opts.threads, opts.cache_dir, opts.gc_threshold};
+}
+
 /// Maps the error taxonomy onto the documented exit codes.
 int exit_code_for(ys::Error code) {
   switch (code) {
@@ -415,24 +577,47 @@ void write_file(const std::string& path, const std::string& content) {
   if (!out) throw ys::IoError("cannot write " + path);
 }
 
-int run_impl(const CliOptions& opts) {
+void write_metrics(const std::string& path) {
+  write_file(path, obs::metrics().to_json());
+  write_file(path + ".prom", obs::metrics().to_prometheus());
+}
 
-  // Build topology + forwarding state.
-  BuiltTopology built;
-  build_topology(opts, built);
-  net::Network* network = built.network;
-  routing::RoutingConfig* routing = built.routing;
-  if (!built.state_loaded) {
-    routing::FibBuilder::compute_and_build(*network, *routing);
-    install_post_fib_state(opts, built, *network, *routing);
+/// Runs an engine subcommand under the `cli.run` root span, then writes
+/// the --trace-out / --metrics-out artifacts.
+int observed(const CliOptions& opts, int (*body)(const CliOptions&)) {
+  // The observability switch flips on only when an output was requested;
+  // default runs keep the near-zero disabled-mode cost.
+  if (opts.trace_out || opts.metrics_out) obs::set_enabled(true);
+  int code = 0;
+  {
+    // Scoped so the root span is recorded before the trace is serialized.
+    obs::Span root("cli.run", "cli");
+    code = body(opts);
   }
+  if (opts.trace_out) {
+    write_file(*opts.trace_out, obs::Tracer::global().to_chrome_json());
+    if (!opts.json) std::printf("trace timeline written to %s\n", opts.trace_out->c_str());
+  }
+  if (opts.metrics_out) {
+    write_metrics(*opts.metrics_out);
+    if (!opts.json) {
+      std::printf("metrics written to %s (+ %s.prom)\n", opts.metrics_out->c_str(),
+                  opts.metrics_out->c_str());
+    }
+  }
+  return code;
+}
+
+// --- run mode ------------------------------------------------------------
+
+int run_report(const CliOptions& opts) {
+  BuiltTopology built;
+  build_network(opts, built);
+  net::Network* network = built.network;
   if (!opts.json) std::printf("%s\n", network->summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
+  const std::unique_ptr<ys::ResourceBudget> budget = make_budget(opts);
   ys::CoverageTracker tracker;
   size_t failures = 0;
 
@@ -445,9 +630,7 @@ int run_impl(const CliOptions& opts) {
   } else {
     const dataplane::MatchSetIndex match_sets(mgr, *network);
     const dataplane::Transfer transfer(match_sets);
-    const std::unordered_set<net::DeviceId> excluded(routing->no_default_devices.begin(),
-                                                     routing->no_default_devices.end());
-    const nettest::TestSuite suite = build_suite(opts, excluded);
+    const nettest::TestSuite suite = build_suite(opts, *built.routing);
     const auto results = [&] {
       obs::Span span("suite.run", "online");
       span.arg("tests", suite.size());
@@ -463,8 +646,7 @@ int run_impl(const CliOptions& opts) {
       }
     }
     if (opts.analyze && !opts.json) {
-      const ys::SuiteAnalyzer analyzer(mgr, *network, budgeted ? &budget : nullptr,
-                                       opts.threads);
+      const ys::SuiteAnalyzer analyzer(mgr, *network, budget.get(), opts.threads);
       const ys::SuiteAnalysis analysis = analyzer.analyze(transfer, suite);
       if (analysis.truncated) {
         std::fprintf(stderr, "warning: budget exhausted; suite analysis is partial\n");
@@ -479,10 +661,8 @@ int run_impl(const CliOptions& opts) {
     }
   }
 
-  const ys::CoverageEngine engine(
-      mgr, *network, tracker.trace(),
-      ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, opts.cache_dir,
-                        opts.gc_threshold});
+  const ys::CoverageEngine engine(mgr, *network, tracker.trace(),
+                                  engine_options(opts, budget.get()));
   // Cache telemetry goes to stderr so stdout (human or JSON report) stays
   // byte-identical to a from-scratch run — which is what CI diffs.
   if (const ys::CacheStats* cs = engine.cache_stats()) {
@@ -545,48 +725,16 @@ int run_impl(const CliOptions& opts) {
   return failures == 0 ? 0 : 1;
 }
 
-int run(const CliOptions& opts) {
-  // The observability switch flips on only when an output was requested;
-  // default runs keep the near-zero disabled-mode cost.
-  if (opts.trace_out || opts.metrics_out) obs::set_enabled(true);
-  int code = 0;
-  {
-    // Scoped so the root span is recorded before the trace is serialized.
-    obs::Span root("cli.run", "cli");
-    code = run_impl(opts);
-  }
-  if (opts.trace_out) {
-    write_file(*opts.trace_out, obs::Tracer::global().to_chrome_json());
-    if (!opts.json) std::printf("trace timeline written to %s\n", opts.trace_out->c_str());
-  }
-  if (opts.metrics_out) {
-    write_file(*opts.metrics_out, obs::metrics().to_json());
-    write_file(*opts.metrics_out + ".prom", obs::metrics().to_prometheus());
-    if (!opts.json) {
-      std::printf("metrics written to %s (+ %s.prom)\n", opts.metrics_out->c_str(),
-                  opts.metrics_out->c_str());
-    }
-  }
-  return code;
-}
-
 // --- scenario mode -------------------------------------------------------
 
 /// `yardstick scenarios <topology> [...] --scenario-spec FILE | --random-links N`
 ///
-/// Reuses the main option grammar (argv[0] is skipped by parse()); the
-/// forwarding state is always recomputed per scenario, so hand-authored
+/// The forwarding state is always recomputed per scenario, so hand-authored
 /// state in `file` topologies is replaced by the BGP substrate's output.
-int run_scenarios(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  const CliOptions& opts = *parsed;
+int run_scenarios(const CliOptions& opts) {
   const bool have_spec = !opts.scenario_spec.empty();
-  if (have_spec == (opts.random_links > 0)) {
-    std::fprintf(stderr,
-                 "error: scenarios needs exactly one of --scenario-spec / --random-links\n");
-    return usage(argv[0]);
-  }
+  require(have_spec != (opts.random_links > 0),
+          "scenarios needs exactly one of --scenario-spec / --random-links");
 
   BuiltTopology built;
   build_topology(opts, built);
@@ -598,18 +746,10 @@ int run_scenarios(int argc, char** argv) {
                                                   opts.scenario_seed,
                                                   opts.links_per_scenario);
 
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
-
+  const std::unique_ptr<ys::ResourceBudget> budget = make_budget(opts);
   scenario::ScenarioRunnerOptions ropts;
-  ropts.engine = ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads,
-                                   opts.cache_dir, opts.gc_threshold};
-
-  const std::unordered_set<net::DeviceId> excluded(
-      built.routing->no_default_devices.begin(), built.routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(opts, excluded);
+  ropts.engine = engine_options(opts, budget.get());
+  const nettest::TestSuite suite = build_suite(opts, *built.routing);
 
   scenario::ScenarioRunner runner(*built.network, *built.routing, suite, ropts);
   runner.set_post_fib_hook(
@@ -633,58 +773,35 @@ int run_scenarios(int argc, char** argv) {
 
 /// `yardstick optimize <topology> [...] --minimize|--prioritize|--gap-report`
 ///
-/// Reuses the main option grammar (argv[0] is skipped by parse()). Runs the
-/// suite twice over the same match-set index: once per-test in isolation
-/// (the coverage matrix the optimizers fold over) and once merged (the
-/// engine the gap report and the recomputation cross-check read).
-int run_optimize(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  const CliOptions& opts = *parsed;
-  if (!opts.minimize && !opts.prioritize && !opts.gap_report) {
-    std::fprintf(stderr,
-                 "error: optimize needs at least one of --minimize / --prioritize / "
-                 "--gap-report\n");
-    return usage(argv[0]);
-  }
+/// Runs the suite twice over the same match-set index: once per-test in
+/// isolation (the coverage matrix the optimizers fold over) and once merged
+/// (the engine the gap report and the recomputation cross-check read).
+int run_optimize(const CliOptions& opts) {
+  require(opts.minimize || opts.prioritize || opts.gap_report,
+          "optimize needs at least one of --minimize / --prioritize / --gap-report");
 
   BuiltTopology built;
-  build_topology(opts, built);
+  build_network(opts, built);
   net::Network* network = built.network;
-  if (!built.state_loaded) {
-    routing::FibBuilder::compute_and_build(*network, *built.routing);
-    install_post_fib_state(opts, built, *network, *built.routing);
-  }
   if (!opts.json) std::printf("%s\n", network->summary().c_str());
 
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
-
+  const std::unique_ptr<ys::ResourceBudget> budget = make_budget(opts);
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  if (budgeted) mgr.set_budget(&budget);
-  const dataplane::MatchSetIndex match_sets(mgr, *network,
-                                            budgeted ? &budget : nullptr);
+  if (budget) mgr.set_budget(budget.get());
+  const dataplane::MatchSetIndex match_sets(mgr, *network, budget.get());
   const dataplane::Transfer transfer(match_sets);
-  const std::unordered_set<net::DeviceId> excluded(
-      built.routing->no_default_devices.begin(),
-      built.routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(opts, excluded);
+  const nettest::TestSuite suite = build_suite(opts, *built.routing);
 
   // Per-test coverage matrix: the substrate minimization/prioritization
   // fold over (bit-identical at any --threads value).
   const ys::SuiteCoverageMatrix matrix =
-      ys::build_suite_matrix(transfer, suite, budgeted ? &budget : nullptr,
-                             opts.threads);
+      ys::build_suite_matrix(transfer, suite, budget.get(), opts.threads);
 
   // Merged full-suite run for the engine-side artifacts.
   ys::CoverageTracker tracker;
   (void)suite.run_all(transfer, tracker);
-  const ys::CoverageEngine engine(
-      mgr, *network, tracker.trace(),
-      ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, opts.cache_dir,
-                        opts.gc_threshold});
+  const ys::CoverageEngine engine(mgr, *network, tracker.trace(),
+                                  engine_options(opts, budget.get()));
 
   std::optional<ys::MinimizeResult> minimized;
   std::optional<ys::PrioritizeResult> prioritized;
@@ -698,10 +815,9 @@ int run_optimize(int argc, char** argv) {
     for (const ys::SelectedTest& s : minimized->selected) {
       (void)suite.test(s.index).run(transfer, subset_tracker);
     }
-    const ys::CoverageEngine subset_engine(
-        mgr, *network, subset_tracker.trace(),
-        ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, "",
-                          opts.gc_threshold});
+    ys::EngineOptions uncached = engine_options(opts, budget.get());
+    uncached.cache_dir.clear();
+    const ys::CoverageEngine subset_engine(mgr, *network, subset_tracker.trace(), uncached);
     minimized->recomputed_full = engine.metrics().rule_fractional;
     minimized->recomputed_subset = subset_engine.metrics().rule_fractional;
   }
@@ -728,74 +844,13 @@ int run_optimize(int argc, char** argv) {
 
 // --- daemon-mode subcommands --------------------------------------------
 
-int serve_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s serve [options]\n"
-               "  --socket PATH        unix-domain listener (default: none)\n"
-               "  --tcp PORT           TCP listener on 127.0.0.1\n"
-               "  --wal FILE           write-ahead journal (durable-before-ack)\n"
-               "  --snapshot FILE      snapshot for compaction + graceful shutdown\n"
-               "  --queue N            ingress queue bound (default 1024)\n"
-               "  --compact-bytes N    compact once the WAL exceeds N bytes\n"
-               "  --no-fsync           skip per-append fsync (throughput over durability)\n"
-               "  --metrics-out FILE   write ingest metrics JSON (+ FILE.prom) at exit\n"
-               "  --json               machine-readable stats on shutdown\n"
-               "At least one of --socket/--tcp is required. SIGTERM/SIGINT drain\n"
-               "accepted batches, snapshot, truncate the WAL and exit 0; a second\n"
-               "signal aborts immediately.\n",
-               argv0);
-  return 2;
-}
-
-int run_serve(int argc, char** argv) {
-  service::DaemonOptions dopts;
-  bool json = false;
-  std::optional<std::string> metrics_out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.socket_path = v;
-    } else if (arg == "--tcp") {
-      const char* v = next();
-      if (v == nullptr || !parse_port(v, dopts.tcp_port)) return serve_usage(argv[0]);
-    } else if (arg == "--wal") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.wal_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.snapshot_path = v;
-    } else if (arg == "--queue") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return serve_usage(argv[0]);
-      dopts.queue_capacity = static_cast<size_t>(n);
-    } else if (arg == "--compact-bytes") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return serve_usage(argv[0]);
-      dopts.compact_wal_bytes = static_cast<uint64_t>(n);
-    } else if (arg == "--no-fsync") {
-      dopts.wal_fsync = false;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      metrics_out = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return serve_usage(argv[0]);
-    }
-  }
-  if (dopts.socket_path.empty() && dopts.tcp_port == 0) return serve_usage(argv[0]);
-  if (metrics_out) obs::set_enabled(true);
+int run_serve(const CliOptions& opts) {
+  require(!opts.daemon.socket_path.empty() || opts.daemon.tcp_port != 0,
+          "serve needs --socket or --tcp");
+  if (opts.metrics_out) obs::set_enabled(true);
 
   service::ShutdownSignal& sig = service::ShutdownSignal::install();
-  service::Daemon daemon(std::move(dopts));
+  service::Daemon daemon(opts.daemon);
   daemon.start();
   const service::DaemonStats at_start = daemon.stats();
   // The readiness line is the CI handshake: once it appears (flushed),
@@ -811,7 +866,7 @@ int run_serve(int argc, char** argv) {
   daemon.shutdown();
 
   const service::DaemonStats s = daemon.stats();
-  if (json) {
+  if (opts.json) {
     std::printf("{\"connections\":%llu,\"frames\":%llu,\"batches\":%llu,"
                 "\"events\":%llu,\"busy_rejections\":%llu,\"rejected_batches\":%llu,"
                 "\"corrupt_frames\":%llu,\"accept_failures\":%llu,"
@@ -838,140 +893,22 @@ int run_serve(int argc, char** argv) {
                 static_cast<unsigned long long>(s.sessions),
                 static_cast<unsigned long long>(s.busy_rejections));
   }
-  if (metrics_out) {
-    write_file(*metrics_out, obs::metrics().to_json());
-    write_file(*metrics_out + ".prom", obs::metrics().to_prometheus());
-  }
+  if (opts.metrics_out) write_metrics(*opts.metrics_out);
   return 0;
 }
 
-int ingest_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s ingest <fattree|regional> [options]\n"
-               "  --k N                fat-tree arity (default 4)\n"
-               "  --suite NAME         original|new|final|fattree (default final)\n"
-               "  --acl                install ToR ingress ACLs and ACL tests\n"
-               "  --socket PATH        daemon unix socket\n"
-               "  --tcp-port N         daemon TCP port (127.0.0.1)\n"
-               "  --session ID         session identity (default 1)\n"
-               "  --shard I M          send only shard I of M (deterministic split)\n"
-               "  --batch-events N     auto-flush threshold (default 64)\n"
-               "  --max-attempts N     per-batch retry cap (default 8)\n"
-               "  --backoff-base-ms N  first retry delay (default 10)\n"
-               "  --ack-timeout-ms N   per-reply wait (default 5000)\n"
-               "  --json               machine-readable stats\n",
-               argv0);
-  return 2;
-}
-
-int run_ingest(int argc, char** argv) {
-  if (argc < 3) return ingest_usage(argv[0]);
-  const std::string topology = argv[2];
-  if (topology != "fattree" && topology != "regional") return ingest_usage(argv[0]);
-  int k = 4;
-  std::string suite_name = "final";
-  bool with_acl = false;
-  bool json = false;
-  size_t shard = 0, shards = 1;
-  service::ClientOptions copts;
-  copts.batch_events = 64;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--k") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, INT_MAX, n)) return ingest_usage(argv[0]);
-      k = static_cast<int>(n);
-    } else if (arg == "--suite") {
-      const char* v = next();
-      if (v == nullptr) return ingest_usage(argv[0]);
-      suite_name = v;
-    } else if (arg == "--acl") {
-      with_acl = true;
-    } else if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return ingest_usage(argv[0]);
-      copts.socket_path = v;
-    } else if (arg == "--tcp-port") {
-      const char* v = next();
-      if (v == nullptr || !parse_port(v, copts.tcp_port)) return ingest_usage(argv[0]);
-    } else if (arg == "--session") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return ingest_usage(argv[0]);
-      copts.session_id = static_cast<uint64_t>(n);
-      copts.jitter_seed = copts.session_id * 0x9e3779b97f4a7c15ull + 1;
-    } else if (arg == "--shard") {
-      const char* a = next();
-      const char* b = next();
-      long long index = 0, total = 0;
-      if (a == nullptr || b == nullptr || !parse_range(a, 0, LLONG_MAX, index) ||
-          !parse_range(b, 1, LLONG_MAX, total) || index >= total) {
-        return ingest_usage(argv[0]);
-      }
-      shard = static_cast<size_t>(index);
-      shards = static_cast<size_t>(total);
-    } else if (arg == "--batch-events") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return ingest_usage(argv[0]);
-      copts.batch_events = static_cast<size_t>(n);
-    } else if (arg == "--max-attempts") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.max_attempts = static_cast<uint32_t>(n);
-    } else if (arg == "--backoff-base-ms") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.backoff_base_ms = static_cast<uint32_t>(n);
-    } else if (arg == "--ack-timeout-ms") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.ack_timeout_ms = static_cast<uint32_t>(n);
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return ingest_usage(argv[0]);
-    }
-  }
-  if (copts.socket_path.empty() && copts.tcp_port == 0) return ingest_usage(argv[0]);
+int run_ingest(const CliOptions& opts) {
+  require(!opts.client.socket_path.empty() || opts.client.tcp_port != 0,
+          "ingest needs --socket or --tcp-port");
 
   // Run the suite locally into a trace, exactly like the in-process path.
-  CliOptions sopts;
-  sopts.topology = topology;
-  sopts.k = k;
-  sopts.suite = suite_name;
-  sopts.with_acl = with_acl;
-  net::Network* network = nullptr;
-  routing::RoutingConfig* routing = nullptr;
-  std::vector<net::DeviceId> tors;
-  topo::FatTree fattree;
-  topo::RegionalNetwork regional;
-  if (topology == "fattree") {
-    fattree = topo::make_fat_tree({.k = k});
-    network = &fattree.network;
-    routing = &fattree.routing;
-    tors = fattree.tors;
-  } else {
-    regional = topo::make_regional(sopts.regional);
-    network = &regional.network;
-    routing = &regional.routing;
-    tors = regional.tors;
-  }
-  routing::FibBuilder::compute_and_build(*network, *routing);
-  if (with_acl) topo::install_ingress_acls(*network, tors);
-
+  BuiltTopology built;
+  build_network(opts, built);
   bdd::BddManager mgr(packet::kNumHeaderBits);
   ys::CoverageTracker tracker;
-  const dataplane::MatchSetIndex match_sets(mgr, *network);
+  const dataplane::MatchSetIndex match_sets(mgr, *built.network);
   const dataplane::Transfer transfer(match_sets);
-  const std::unordered_set<net::DeviceId> excluded(routing->no_default_devices.begin(),
-                                                   routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(sopts, excluded);
+  const nettest::TestSuite suite = build_suite(opts, *built.routing);
   size_t failures = 0;
   for (const auto& r : suite.run_all(transfer, tracker)) failures += r.failures;
   const coverage::CoverageTrace& trace = tracker.trace();
@@ -979,22 +916,22 @@ int run_ingest(int argc, char** argv) {
   // Stream the trace to the daemon, optionally as one deterministic
   // shard: locations in map order, then rules sorted — so shard i of m
   // from concurrent processes unions back to exactly the full trace.
-  service::IngestClient client(copts);
+  service::IngestClient client(opts.client);
   size_t index = 0;
   for (const auto& [loc, ps] : trace.marked_packets().entries()) {
-    if (index++ % shards == shard) client.mark_packet(loc, ps);
+    if (index++ % opts.shards == opts.shard) client.mark_packet(loc, ps);
   }
   std::vector<uint32_t> rules;
   rules.reserve(trace.marked_rules().size());
   for (const net::RuleId rid : trace.marked_rules()) rules.push_back(rid.value);
   std::sort(rules.begin(), rules.end());
   for (const uint32_t rid : rules) {
-    if (index++ % shards == shard) client.mark_rule(net::RuleId{rid});
+    if (index++ % opts.shards == opts.shard) client.mark_rule(net::RuleId{rid});
   }
   client.close();
 
   const service::ClientStats& cs = client.stats();
-  if (json) {
+  if (opts.json) {
     std::printf("{\"flushes\":%llu,\"events_sent\":%llu,\"retries\":%llu,"
                 "\"busy_backoffs\":%llu,\"reconnects\":%llu,\"test_failures\":%zu}\n",
                 static_cast<unsigned long long>(cs.flushes),
@@ -1014,48 +951,19 @@ int run_ingest(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int ingest_replay_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s ingest-replay --wal FILE [--snapshot FILE] "
-               "--save-trace OUT [--json]\n"
-               "Offline recovery: rebuild the merged trace a daemon would\n"
-               "recover from the snapshot plus journal, and persist it.\n",
-               argv0);
-  return 2;
-}
-
-int run_ingest_replay(int argc, char** argv) {
-  std::string wal_path, snapshot_path, out_path;
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--wal") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      wal_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      snapshot_path = v;
-    } else if (arg == "--save-trace") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      out_path = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return ingest_replay_usage(argv[0]);
-    }
-  }
-  if (wal_path.empty() && snapshot_path.empty()) return ingest_replay_usage(argv[0]);
+int run_ingest_replay(const CliOptions& opts) {
+  const std::string& wal_path = opts.daemon.wal_path;
+  const std::string& snapshot_path = opts.daemon.snapshot_path;
+  require(!wal_path.empty() || !snapshot_path.empty(),
+          "ingest-replay needs --wal or --snapshot");
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
   service::DaemonStats stats;
   const coverage::CoverageTrace trace =
       service::recover_trace(snapshot_path, wal_path, mgr, &stats);
+  const std::string out_path = opts.save_trace.value_or("");
   if (!out_path.empty()) ys::save_trace(out_path, trace, mgr);
-  if (json) {
+  if (opts.json) {
     std::printf("{\"recovered_records\":%llu,\"sessions\":%llu,"
                 "\"recovered_snapshot\":%s,\"torn_tail\":%s,"
                 "\"rejected_records\":%llu}\n",
@@ -1075,33 +983,54 @@ int run_ingest_replay(int argc, char** argv) {
   return 0;
 }
 
+constexpr Subcommand kSubcommands[] = {
+    {nullptr, kRun, Topology::kAny, "<fattree|regional|file PATH> [options]",
+     "Subcommands (run one without arguments for its options):\n"
+     "  scenarios      coverage under failure (DESIGN.md §13)\n"
+     "  optimize       suite minimization / prioritization / gap witnesses (§14)\n"
+     "  serve, ingest, ingest-replay   the ingestion daemon and its clients (§10)\n",
+     run_report},
+    {"scenarios", kScenarios, Topology::kAny,
+     "scenarios <fattree|regional|file PATH> [options]\n"
+     "       (--scenario-spec FILE | --random-links N [--seed S])",
+     "Exactly one of --scenario-spec / --random-links is required.\n", run_scenarios},
+    {"optimize", kOptimize, Topology::kAny,
+     "optimize <fattree|regional|file PATH> [options]\n"
+     "       [--minimize [--min-coverage F]] [--prioritize] [--gap-report]",
+     "At least one of --minimize / --prioritize / --gap-report is required.\n",
+     run_optimize},
+    {"serve", kServe, Topology::kNone, "serve [options]",
+     "At least one of --socket/--tcp is required. SIGTERM/SIGINT drain\n"
+     "accepted batches, snapshot, truncate the WAL and exit 0; a second\n"
+     "signal aborts immediately.\n",
+     run_serve},
+    {"ingest", kIngest, Topology::kSynthetic, "ingest <fattree|regional> [options]",
+     "At least one of --socket/--tcp-port is required.\n", run_ingest},
+    {"ingest-replay", kIngestReplay, Topology::kNone, "ingest-replay [options]",
+     "Offline recovery: rebuild the merged trace a daemon would\n"
+     "recover from the snapshot plus journal (at least one of --wal /\n"
+     "--snapshot), and persist it.\n",
+     run_ingest_replay},
+};
+
+/// The subcommand argv[1] names; run mode when it names none.
+const Subcommand& find_subcommand(int argc, char** argv) {
+  for (const Subcommand& cmd : kSubcommands) {
+    if (cmd.name != nullptr && argc >= 2 && std::strcmp(argv[1], cmd.name) == 0) return cmd;
+  }
+  return kSubcommands[0];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Daemon-mode subcommands dispatch before the topology grammar.
-  if (argc >= 2) {
-    const std::string cmd = argv[1];
-    try {
-      if (cmd == "serve") return run_serve(argc, argv);
-      if (cmd == "ingest") return run_ingest(argc, argv);
-      if (cmd == "ingest-replay") return run_ingest_replay(argc, argv);
-      if (cmd == "scenarios") return run_scenarios(argc, argv);
-      if (cmd == "optimize") return run_optimize(argc, argv);
-    } catch (const ys::StatusError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return exit_code_for(e.code());
-    } catch (const ys::InvalidInputError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return exit_code_for(e.code());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "internal error: %s\n", e.what());
-      return 10;
-    }
-  }
-  const std::optional<CliOptions> parsed = parse(argc, argv);
-  if (!parsed) return usage(argv[0]);
+  const Subcommand& cmd = find_subcommand(argc, argv);
   try {
-    return run(*parsed);
+    const CliOptions opts = parse(cmd, argc, argv);
+    return (cmd.bit & kEngine) != 0 ? observed(opts, cmd.run) : cmd.run(opts);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage(cmd, argv[0]);
   } catch (const ys::StatusError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return exit_code_for(e.code());
