@@ -92,7 +92,7 @@ int main() {
     benchutil::Stopwatch watch;
     (void)nettest::ToRPingmesh().run(transfer, tracker);
     const double track_time = watch.seconds();
-    const size_t pending = tracker.log_entries();
+    const size_t pending = tracker.log().size();
     watch.reset();
     const auto& trace = tracker.trace();  // folds the log if any
     const double fold_time = watch.seconds();

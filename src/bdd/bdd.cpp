@@ -300,6 +300,7 @@ GcResult BddManager::collect(std::span<const NodeIndex> roots) {
   op_cache_ = std::move(fresh_op);
   op_cache_mask_ = op_target - 1;
   std::fill(neg_cache_.begin(), neg_cache_.end(), CacheEntry{});
+  or_memo_.reset();
   resize_base_hits_ = cache_stats_.hits;
   resize_base_misses_ = cache_stats_.misses;
   count_memo_ = std::move(fresh_memo);
@@ -409,6 +410,136 @@ NodeIndex BddManager::apply_rec(Op op, NodeIndex a, NodeIndex b) {
 
   // make() may have resized the cache; recompute the slot before storing.
   if (cache_enabled_) op_cache_[(key * kGolden >> 32) & op_cache_mask_] = {key, result};
+  return result;
+}
+
+// The or_all() memo: sorted operand tuples (three or more nodes) to
+// results. The tuples live back to back in one flat array; the
+// open-addressing table holds each one's hash, offset, length and result.
+// It is a cache: once either array is full it starts over, which bounds
+// its memory whatever the batch.
+class BddManager::OrAllMemo {
+ public:
+  static constexpr NodeIndex kMiss = UINT32_MAX;
+
+  [[nodiscard]] static uint64_t hash(const NodeIndex* ops, size_t n) {
+    uint64_t h = n * kGolden;
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ ops[i]) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+    }
+    return h;
+  }
+
+  [[nodiscard]] NodeIndex find(const NodeIndex* ops, size_t n, uint64_t h) const {
+    for (size_t s = h & mask_;; s = (s + 1) & mask_) {
+      const Slot& e = slots_[s];
+      if (e.length == 0) return kMiss;
+      if (e.hash == h && e.length == n &&
+          std::equal(ops, ops + n, keys_.begin() + e.offset)) {
+        return e.result;
+      }
+    }
+  }
+
+  void insert(const NodeIndex* ops, size_t n, uint64_t h, NodeIndex result) {
+    if (keys_.size() + n > kMaxKeys || (size_ + 1) * 2 > kMaxSlots) {
+      clear();
+    } else if ((size_ + 1) * 2 > slots_.size()) {
+      grow();
+    }
+    size_t s = h & mask_;
+    while (slots_[s].length != 0) s = (s + 1) & mask_;
+    slots_[s] = {h, static_cast<uint32_t>(keys_.size()), static_cast<uint32_t>(n), result};
+    keys_.insert(keys_.end(), ops, ops + n);
+    ++size_;
+  }
+
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    keys_.clear();
+    size_ = 0;
+  }
+
+ private:
+  static constexpr size_t kMaxKeys = 1 << 18;
+  static constexpr size_t kMaxSlots = 1 << 16;
+
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t offset = 0;
+    uint32_t length = 0;  // 0 = free
+    NodeIndex result = kFalse;
+  };
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& e : old) {
+      if (e.length == 0) continue;
+      size_t s = e.hash & mask_;
+      while (slots_[s].length != 0) s = (s + 1) & mask_;
+      slots_[s] = e;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  uint64_t mask_ = 63;
+  size_t size_ = 0;
+  std::vector<NodeIndex> keys_;
+};
+
+BddManager::~BddManager() = default;
+
+NodeIndex BddManager::or_all(std::span<const NodeIndex> operands) {
+  std::vector<NodeIndex> stack;
+  stack.reserve(operands.size() * 2);
+  for (const NodeIndex f : operands) {
+    if (f == kTrue) return kTrue;
+    if (f != kFalse) stack.push_back(f);
+  }
+  std::sort(stack.begin(), stack.end());
+  stack.erase(std::unique(stack.begin(), stack.end()), stack.end());
+  if (stack.empty()) return kFalse;
+  if (!or_memo_) or_memo_ = std::make_unique<OrAllMemo>();
+  return or_all_rec(stack, 0);
+}
+
+NodeIndex BddManager::or_all_rec(std::vector<NodeIndex>& stack, size_t begin) {
+  const size_t end = stack.size();
+  const size_t n = end - begin;
+  if (n == 1) return stack[begin];
+  if (n == 2) return apply_rec(Op::Or, stack[begin], stack[begin + 1]);
+  const uint64_t h = OrAllMemo::hash(&stack[begin], n);
+  if (const NodeIndex hit = or_memo_->find(&stack[begin], n, h); hit != OrAllMemo::kMiss) {
+    return hit;
+  }
+  Var top = num_vars_;
+  for (size_t i = begin; i < end; ++i) top = std::min(top, nodes_[stack[i]].var);
+  // One cofactor: push it past `end`, fold it, pop it. Indices only —
+  // pushing may reallocate the stack.
+  const auto cofactor = [&](bool high) {
+    for (size_t i = begin; i < end; ++i) {
+      const BddNode& nd = nodes_[stack[i]];
+      const NodeIndex c = nd.var != top ? stack[i] : high ? nd.high : nd.low;
+      if (c == kTrue) {
+        stack.resize(end);
+        return kTrue;
+      }
+      if (c != kFalse) stack.push_back(c);
+    }
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, stack.end());
+    stack.erase(std::unique(first, stack.end()), stack.end());
+    const NodeIndex r = stack.size() == end ? kFalse : or_all_rec(stack, end);
+    stack.resize(end);
+    return r;
+  };
+  const NodeIndex low = cofactor(false);
+  const NodeIndex high = cofactor(true);
+  const NodeIndex result = make(top, low, high);
+  or_memo_->insert(&stack[begin], n, h, result);
   return result;
 }
 

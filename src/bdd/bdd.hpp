@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -122,6 +123,7 @@ class BddManager {
   /// @param num_vars size of the variable universe (max 120 so that
   ///        counts fit in 128 bits).
   explicit BddManager(Var num_vars);
+  ~BddManager();
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -261,6 +263,17 @@ class BddManager {
   enum class Op : uint8_t { And = 0, Or = 1, Xor = 2, Diff = 3 };
 
   NodeIndex apply(Op op, NodeIndex a, NodeIndex b);
+  /// N-ary disjunction in one recursion. Drops False operands, returns
+  /// True as soon as an operand is True, sorts and dedupes the rest, hands
+  /// any two remaining operands to the cached apply(), and otherwise splits
+  /// every operand on the top variable; a memo keyed by the sorted operand
+  /// tuple keeps DAG-shaped operands polynomial. Every subproblem's result
+  /// is a cofactor of the final result, so only the result's nodes are
+  /// created — a left fold of apply(Or) rebuilds the top of the growing
+  /// set at every step instead. No operands gives False. Like the apply
+  /// cache, the memo outlives the call (bounded; collect() drops it), so a
+  /// batch of unions over overlapping operands shares subresults.
+  NodeIndex or_all(std::span<const NodeIndex> operands);
   /// Complement through the dedicated negation memo (never the apply cache).
   NodeIndex negate(NodeIndex a);
   [[nodiscard]] const BddNode& node(NodeIndex i) const { return nodes_[i]; }
@@ -279,7 +292,11 @@ class BddManager {
     NodeIndex result = kFalse;
   };
 
+  class OrAllMemo;
   NodeIndex apply_rec(Op op, NodeIndex a, NodeIndex b);
+  /// or_all over stack[begin, end): sorted, distinct, non-terminal. The
+  /// cofactor lists of each level are pushed past `end` and popped again.
+  NodeIndex or_all_rec(std::vector<NodeIndex>& stack, size_t begin);
   NodeIndex negate_rec(NodeIndex a);
   NodeIndex exists_rec(NodeIndex f, const std::vector<bool>& quantified,
                        std::vector<NodeIndex>& memo);
@@ -339,6 +356,9 @@ class BddManager {
   // collections; collect() carries surviving entries across the remap).
   std::vector<Uint128> count_memo_;
   std::vector<bool> count_memo_valid_;
+
+  // or_all() memo, created on first use.
+  std::unique_ptr<OrAllMemo> or_memo_;
 };
 
 /// Open-addressing NodeIndex -> NodeIndex map (the unique-table idiom:

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -27,6 +28,13 @@ class CoverageTrace {
   /// Record packets at a single location.
   void mark_packet(packet::LocationId location, const packet::PacketSet& packets) {
     marked_packets_.insert(location, packets);
+  }
+
+  /// Record many packet sets at one location with one n-ary union: the
+  /// same trace as marking them one by one. Every set must be valid and
+  /// share one manager.
+  void mark_packets(packet::LocationId location, std::span<const packet::PacketSet> sets) {
+    marked_packets_.insert_all(location, sets);
   }
 
   /// Record a rule inspected by a state-inspection test.

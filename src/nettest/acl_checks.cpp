@@ -7,8 +7,8 @@ namespace yardstick::nettest {
 using packet::Field;
 using packet::PacketSet;
 
-TestResult AclBlockCheck::run(const dataplane::Transfer& transfer,
-                              ys::CoverageTracker& tracker) const {
+TestResult AclBlockCheck::execute(const dataplane::Transfer& transfer,
+                                  ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
 
@@ -35,8 +35,8 @@ TestResult AclBlockCheck::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult BlockedPortCheck::run(const dataplane::Transfer& transfer,
-                                 ys::CoverageTracker& tracker) const {
+TestResult BlockedPortCheck::execute(const dataplane::Transfer& transfer,
+                                     ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();

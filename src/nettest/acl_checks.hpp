@@ -25,8 +25,8 @@ class AclBlockCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::StateInspection;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::vector<uint16_t> ports_;
@@ -41,8 +41,8 @@ class BlockedPortCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::LocalSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::vector<uint16_t> ports_;

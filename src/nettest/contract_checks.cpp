@@ -78,16 +78,16 @@ std::vector<packet::Ipv4Prefix> internal_prefixes(const net::Device& dev) {
 
 }  // namespace
 
-TestResult InternalRouteCheck::run(const dataplane::Transfer& transfer,
-                                   ys::CoverageTracker& tracker) const {
+TestResult InternalRouteCheck::execute(const dataplane::Transfer& transfer,
+                                       ys::CoverageTracker& tracker) const {
   TestResult result = make_result();
   run_contracts(transfer, tracker, result, internal_prefixes,
                 [](const net::Device&) { return true; });
   return result;
 }
 
-TestResult ToRContract::run(const dataplane::Transfer& transfer,
-                            ys::CoverageTracker& tracker) const {
+TestResult ToRContract::execute(const dataplane::Transfer& transfer,
+                                ys::CoverageTracker& tracker) const {
   TestResult result = make_result();
   run_contracts(
       transfer, tracker, result,
@@ -99,8 +99,8 @@ TestResult ToRContract::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult AggCanReachTorLoopback::run(const dataplane::Transfer& transfer,
-                                       ys::CoverageTracker& tracker) const {
+TestResult AggCanReachTorLoopback::execute(const dataplane::Transfer& transfer,
+                                           ys::CoverageTracker& tracker) const {
   TestResult result = make_result();
   run_contracts(
       transfer, tracker, result,

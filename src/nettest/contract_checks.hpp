@@ -24,8 +24,8 @@ class InternalRouteCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::LocalSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 class ToRContract final : public NetworkTest {
@@ -34,8 +34,8 @@ class ToRContract final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::LocalSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 class AggCanReachTorLoopback final : public NetworkTest {
@@ -44,8 +44,8 @@ class AggCanReachTorLoopback final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::LocalSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 }  // namespace yardstick::nettest

@@ -10,8 +10,8 @@ namespace yardstick::nettest {
 using packet::ConcretePacket;
 using packet::PacketSet;
 
-TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
-                                  ys::CoverageTracker& tracker) const {
+TestResult LocalForwardCheck::execute(const dataplane::Transfer& transfer,
+                                      ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();

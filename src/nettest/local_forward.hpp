@@ -18,8 +18,8 @@ class LocalForwardCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::LocalConcrete;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 }  // namespace yardstick::nettest

@@ -7,8 +7,8 @@ namespace yardstick::nettest {
 using dataplane::SymbolicSimulator;
 using packet::PacketSet;
 
-TestResult ToRReachability::run(const dataplane::Transfer& transfer,
-                                ys::CoverageTracker& tracker) const {
+TestResult ToRReachability::execute(const dataplane::Transfer& transfer,
+                                    ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();
@@ -70,8 +70,8 @@ TestResult ToRReachability::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult ToRPingmesh::run(const dataplane::Transfer& transfer,
-                            ys::CoverageTracker& tracker) const {
+TestResult ToRPingmesh::execute(const dataplane::Transfer& transfer,
+                                ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
 
@@ -113,8 +113,8 @@ TestResult ToRPingmesh::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult ReachabilityTest::run(const dataplane::Transfer& transfer,
-                                 ys::CoverageTracker& tracker) const {
+TestResult ReachabilityTest::execute(const dataplane::Transfer& transfer,
+                                     ys::CoverageTracker& tracker) const {
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();
   const SymbolicSimulator sim(transfer);

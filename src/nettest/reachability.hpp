@@ -62,8 +62,8 @@ class ToRReachability final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   packet::PacketSet policy_exempt_;  // invalid handle = nothing exempt
@@ -82,8 +82,8 @@ class ToRPingmesh final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndConcrete;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   TestShard shard_;
@@ -112,8 +112,8 @@ class ReachabilityTest final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::string name_;

@@ -23,8 +23,8 @@ std::optional<net::RuleId> find_rule_for_prefix(const net::Network& network,
   return std::nullopt;
 }
 
-TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
-                                  ys::CoverageTracker& tracker) const {
+TestResult DefaultRouteCheck::execute(const dataplane::Transfer& transfer,
+                                      ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
 
@@ -62,8 +62,8 @@ TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult ConnectedRouteCheck::run(const dataplane::Transfer& transfer,
-                                    ys::CoverageTracker& tracker) const {
+TestResult ConnectedRouteCheck::execute(const dataplane::Transfer& transfer,
+                                        ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
 

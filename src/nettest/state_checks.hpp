@@ -34,8 +34,8 @@ class DefaultRouteCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::StateInspection;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::unordered_set<net::DeviceId> excluded_;
@@ -47,8 +47,8 @@ class ConnectedRouteCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::StateInspection;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 }  // namespace yardstick::nettest

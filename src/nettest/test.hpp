@@ -62,10 +62,21 @@ class NetworkTest {
   virtual ~NetworkTest() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual TestCategory category() const = 0;
-  [[nodiscard]] virtual TestResult run(const dataplane::Transfer& transfer,
-                                       ys::CoverageTracker& tracker) const = 0;
+
+  /// Run the test, then fold the tracker's pending marks into its trace, so
+  /// tracking cost stays inside the test wherever the test is timed.
+  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
+                               ys::CoverageTracker& tracker) const {
+    TestResult result = execute(transfer, tracker);
+    tracker.fold();
+    return result;
+  }
 
  protected:
+  /// The test body: checks the snapshot and reports through `tracker`.
+  [[nodiscard]] virtual TestResult execute(const dataplane::Transfer& transfer,
+                                           ys::CoverageTracker& tracker) const = 0;
+
   [[nodiscard]] TestResult make_result() const {
     TestResult r;
     r.name = name();

@@ -40,8 +40,8 @@ PacketSet acl_permitted(const dataplane::Transfer& transfer, net::DeviceId devic
 
 }  // namespace
 
-TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
-                                     ys::CoverageTracker& tracker) const {
+TestResult TunnelRoundTripCheck::execute(const dataplane::Transfer& transfer,
+                                         ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();
@@ -101,8 +101,8 @@ TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult NatTranslationCheck::run(const dataplane::Transfer& transfer,
-                                    ys::CoverageTracker& tracker) const {
+TestResult NatTranslationCheck::execute(const dataplane::Transfer& transfer,
+                                        ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();

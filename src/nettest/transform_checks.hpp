@@ -22,8 +22,8 @@ class TunnelRoundTripCheck : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 /// End-to-end symbolic: for every NAT rule, flood its match headers at the
@@ -35,8 +35,8 @@ class NatTranslationCheck : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 };
 
 }  // namespace yardstick::nettest

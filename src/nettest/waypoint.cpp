@@ -8,8 +8,8 @@ namespace yardstick::nettest {
 
 using packet::PacketSet;
 
-TestResult WaypointCheck::run(const dataplane::Transfer& transfer,
-                              ys::CoverageTracker& tracker) const {
+TestResult WaypointCheck::execute(const dataplane::Transfer& transfer,
+                                  ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();
@@ -42,8 +42,8 @@ TestResult WaypointCheck::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-TestResult TracerouteWaypointCheck::run(const dataplane::Transfer& transfer,
-                                        ys::CoverageTracker& tracker) const {
+TestResult TracerouteWaypointCheck::execute(const dataplane::Transfer& transfer,
+                                            ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
 

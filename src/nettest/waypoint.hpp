@@ -28,8 +28,8 @@ class WaypointCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndSymbolic;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::string name_;
@@ -47,8 +47,8 @@ class TracerouteWaypointCheck final : public NetworkTest {
   [[nodiscard]] TestCategory category() const override {
     return TestCategory::EndToEndConcrete;
   }
-  [[nodiscard]] TestResult run(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker) const override;
+  [[nodiscard]] TestResult execute(const dataplane::Transfer& transfer,
+                                   ys::CoverageTracker& tracker) const override;
 
  private:
   std::string name_;

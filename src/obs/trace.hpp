@@ -7,6 +7,7 @@
 //
 //   cli.run
 //   ├─ suite.run                       (online phase: tests execute)
+//   │  └─ tracker.fold (×tests)        (pending markPacket reports folded)
 //   ├─ match_sets.build                (offline step 1)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)

@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "packet/packet_set.hpp"
 
@@ -35,6 +37,24 @@ class LocatedPacketSet {
     if (packets.empty()) return;
     auto [it, inserted] = sets_.try_emplace(loc, packets);
     if (!inserted) it->second = it->second.union_with(packets);
+  }
+
+  /// Add many header sets at a location with one n-ary union
+  /// (PacketSet::union_all): the same result as inserting them one by one,
+  /// without the intermediate unions. Every set must be valid and share one
+  /// manager with the headers already at `loc`.
+  void insert_all(LocationId loc, std::span<const PacketSet> sets) {
+    if (sets.empty()) return;
+    bdd::BddManager& mgr = *sets.front().raw().manager();
+    const auto it = sets_.find(loc);
+    if (it == sets_.end()) {
+      const PacketSet merged = PacketSet::union_all(mgr, sets);
+      if (!merged.empty()) sets_.emplace(loc, merged);
+      return;
+    }
+    std::vector<PacketSet> operands(sets.begin(), sets.end());
+    operands.push_back(it->second);
+    it->second = PacketSet::union_all(mgr, operands);
   }
 
   [[nodiscard]] LocatedPacketSet union_with(const LocatedPacketSet& o) const {

@@ -9,6 +9,16 @@ using bdd::Bdd;
 using bdd::BddManager;
 using bdd::Var;
 
+PacketSet PacketSet::union_all(BddManager& mgr, std::span<const PacketSet> sets) {
+  std::vector<bdd::NodeIndex> roots;
+  roots.reserve(sets.size());
+  for (const PacketSet& s : sets) {
+    assert(s.bdd_.manager() == &mgr);
+    roots.push_back(s.bdd_.index());
+  }
+  return PacketSet(Bdd(&mgr, mgr.or_all(roots)));
+}
+
 PacketSet PacketSet::field_prefix(BddManager& mgr, Field f, uint64_t value,
                                   uint8_t bits) {
   const FieldSpec s = spec(f);

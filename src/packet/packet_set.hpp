@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "bdd/bdd.hpp"
@@ -31,6 +32,11 @@ class PacketSet {
   [[nodiscard]] PacketSet union_with(const PacketSet& o) const {
     return PacketSet(bdd_ | o.bdd_);
   }
+  /// Union of many sets in one pass (BddManager::or_all): only the
+  /// result's nodes are created, where a chain of union_with calls rebuilds
+  /// the top of the growing set at every step. Every set must be valid and
+  /// live in `mgr`; no sets gives the empty set.
+  static PacketSet union_all(bdd::BddManager& mgr, std::span<const PacketSet> sets);
   [[nodiscard]] PacketSet intersect(const PacketSet& o) const {
     return PacketSet(bdd_ & o.bdd_);
   }

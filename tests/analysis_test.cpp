@@ -23,8 +23,8 @@ class OneRuleTest final : public nettest::NetworkTest {
   [[nodiscard]] nettest::TestCategory category() const override {
     return nettest::TestCategory::StateInspection;
   }
-  [[nodiscard]] nettest::TestResult run(const dataplane::Transfer&,
-                                        CoverageTracker& tracker) const override {
+  [[nodiscard]] nettest::TestResult execute(const dataplane::Transfer&,
+                                            CoverageTracker& tracker) const override {
     tracker.mark_rule(rule_);
     nettest::TestResult r;
     r.name = name_;
@@ -79,8 +79,8 @@ TEST_F(AnalysisTest, GreedyOrderFrontLoadsCoverage) {
     [[nodiscard]] nettest::TestCategory category() const override {
       return nettest::TestCategory::StateInspection;
     }
-    [[nodiscard]] nettest::TestResult run(const dataplane::Transfer&,
-                                          CoverageTracker& tracker) const override {
+    [[nodiscard]] nettest::TestResult execute(const dataplane::Transfer&,
+                                              CoverageTracker& tracker) const override {
       tracker.mark_rule(t_.sp_to_p1);
       tracker.mark_rule(t_.sp_to_p2);
       tracker.mark_rule(t_.sp_default_drop);

@@ -243,5 +243,131 @@ TEST_P(BddRandomTest, MatchesBruteForceEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTest, ::testing::Range(0, 12));
 
+// --- N-ary union (or_all) --------------------------------------------------
+
+/// Left fold of the binary union: the reference or_all must agree with.
+NodeIndex sequential_or(BddManager& mgr, const std::vector<NodeIndex>& ops) {
+  NodeIndex acc = kFalse;
+  for (const NodeIndex op : ops) acc = mgr.apply(BddManager::Op::Or, acc, op);
+  return acc;
+}
+
+/// Exhaustive check over all 2^10 assignments: `result` holds exactly where
+/// some operand holds.
+void expect_is_union(BddManager& mgr, NodeIndex result, const std::vector<NodeIndex>& ops) {
+  std::vector<bool> assignment(10, false);
+  for (uint32_t bits = 0; bits < (1u << 10); ++bits) {
+    for (int i = 0; i < 10; ++i) assignment[i] = (bits >> i) & 1;
+    bool any = false;
+    for (const NodeIndex op : ops) any = any || mgr.evaluate(Bdd(&mgr, op), assignment);
+    ASSERT_EQ(mgr.evaluate(Bdd(&mgr, result), assignment), any) << "assignment " << bits;
+  }
+}
+
+/// Random functions over 10 variables: sums of random cubes.
+std::vector<NodeIndex> random_functions(BddManager& mgr, std::mt19937& rng, size_t count) {
+  std::vector<NodeIndex> out;
+  for (size_t i = 0; i < count; ++i) {
+    Bdd f = mgr.zero();
+    for (uint32_t c = 0, cubes = 1 + rng() % 3; c < cubes; ++c) {
+      Bdd cube = mgr.one();
+      for (Var v = 0; v < 10; ++v) {
+        switch (rng() % 4) {
+          case 0: cube &= mgr.var(v); break;
+          case 1: cube &= mgr.nvar(v); break;
+          default: break;
+        }
+      }
+      f |= cube;
+    }
+    out.push_back(f.index());
+  }
+  return out;
+}
+
+class OrAllRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OrAllRandomTest, MatchesSequentialFoldWithConstantsAndDuplicates) {
+  BddManager mgr(10);
+  std::mt19937 rng(GetParam());
+  const std::vector<NodeIndex> pool = random_functions(mgr, rng, 24);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<NodeIndex> ops;
+    for (uint32_t i = 0, n = rng() % 12; i < n; ++i) {
+      switch (rng() % 10) {
+        case 0: ops.push_back(kFalse); break;
+        case 1:
+          if (!ops.empty()) ops.push_back(ops[rng() % ops.size()]);  // duplicate handle
+          break;
+        default: ops.push_back(pool[rng() % pool.size()]); break;
+      }
+    }
+    if (round % 5 == 4) ops.insert(ops.begin() + (ops.empty() ? 0 : rng() % ops.size()), kTrue);
+    const NodeIndex result = mgr.or_all(ops);
+    EXPECT_EQ(result, sequential_or(mgr, ops)) << "round " << round;
+    expect_is_union(mgr, result, ops);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrAllRandomTest, ::testing::Range(0, 8));
+
+TEST(OrAllTest, SharedSubgraphOperands) {
+  // DAG-shaped operands: every operand reuses the same two subfunctions
+  // under a different guard, so cofactors coincide across operands.
+  BddManager mgr(10);
+  const Bdd shared_a = (mgr.var(6) & mgr.var(7)) | mgr.nvar(9);
+  const Bdd shared_b = mgr.var(8) ^ mgr.var(5);
+  std::vector<NodeIndex> ops;
+  for (Var v = 0; v < 5; ++v) {
+    ops.push_back(((mgr.var(v) & shared_a) | (mgr.nvar(v) & shared_b)).index());
+    ops.push_back((mgr.var(v) & mgr.var((v + 1) % 5) & shared_b).index());
+  }
+  const NodeIndex result = mgr.or_all(ops);
+  EXPECT_EQ(result, sequential_or(mgr, ops));
+  expect_is_union(mgr, result, ops);
+}
+
+TEST(OrAllTest, ConstantsSingleOperandAndEmptyList) {
+  BddManager mgr(10);
+  const NodeIndex f = (mgr.var(2) & mgr.nvar(4)).index();
+  const NodeIndex g = mgr.var(7).index();
+  EXPECT_EQ(mgr.or_all({}), kFalse);
+  EXPECT_EQ(mgr.or_all(std::vector<NodeIndex>{kFalse, kFalse}), kFalse);
+  EXPECT_EQ(mgr.or_all(std::vector<NodeIndex>{f}), f);
+  EXPECT_EQ(mgr.or_all(std::vector<NodeIndex>{f, f, kFalse, f}), f);
+  EXPECT_EQ(mgr.or_all(std::vector<NodeIndex>{f, kTrue, g}), kTrue);
+  EXPECT_EQ(mgr.or_all(std::vector<NodeIndex>{g, f}), sequential_or(mgr, {f, g}));
+}
+
+TEST(OrAllTest, AllocatesOnlyTheResultsNodes) {
+  // The even-parity minterms over the low 6 variables: a left fold rebuilds
+  // the top of the growing union at every step, or_all creates each node
+  // of the final union (the parity function) once.
+  const auto minterms = [](BddManager& mgr) {
+    const std::vector<Var> vars{0, 1, 2, 3, 4, 5};
+    std::vector<NodeIndex> ops;
+    for (uint32_t m = 0; m < 64; ++m) {
+      if (__builtin_popcount(m) % 2 != 0) continue;
+      std::vector<bool> bits;
+      for (const Var v : vars) bits.push_back(((m >> v) & 1) != 0);
+      ops.push_back(mgr.cube(vars, bits).index());
+    }
+    return ops;
+  };
+  BddManager mgr(10);
+  const std::vector<NodeIndex> ops = minterms(mgr);
+  const size_t before = mgr.arena_size();
+  const NodeIndex result = mgr.or_all(ops);
+  const size_t created = mgr.arena_size() - before;
+  EXPECT_LE(created, Bdd(&mgr, result).node_count());
+  expect_is_union(mgr, result, ops);
+
+  BddManager seq(10);
+  const std::vector<NodeIndex> seq_ops = minterms(seq);
+  const size_t seq_before = seq.arena_size();
+  (void)sequential_or(seq, seq_ops);
+  EXPECT_GT(seq.arena_size() - seq_before, created);
+}
+
 }  // namespace
 }  // namespace yardstick::bdd

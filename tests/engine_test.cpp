@@ -46,10 +46,10 @@ TEST_F(EngineTest, LogModeFoldsToSameTrace) {
     t->mark_packet(net::to_location(tiny_.l1_host), dst(tiny_.p1));
     t->mark_rule(tiny_.sp_to_p1);
   }
-  EXPECT_GT(log.log_entries(), 0u);
+  EXPECT_GT(log.log().size(), 0u);
   EXPECT_EQ(log.trace().marked_packets(), dedup.trace().marked_packets());
   EXPECT_EQ(log.trace().marked_rules(), dedup.trace().marked_rules());
-  EXPECT_EQ(log.log_entries(), 0u);  // folded on read
+  EXPECT_EQ(log.log().size(), 0u);  // folded on read
 }
 
 TEST_F(EngineTest, TrackerReset) {

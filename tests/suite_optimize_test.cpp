@@ -29,8 +29,8 @@ class MarkRulesTest final : public nettest::NetworkTest {
   [[nodiscard]] nettest::TestCategory category() const override {
     return nettest::TestCategory::StateInspection;
   }
-  [[nodiscard]] nettest::TestResult run(const dataplane::Transfer&,
-                                        CoverageTracker& tracker) const override {
+  [[nodiscard]] nettest::TestResult execute(const dataplane::Transfer&,
+                                            CoverageTracker& tracker) const override {
     for (const net::RuleId r : rules_) tracker.mark_rule(r);
     nettest::TestResult res;
     res.name = name_;
